@@ -26,12 +26,12 @@ name, and every transition is an explicit, validated state change:
   of the new live and rolls back automatically when the new live diverges
   beyond the budget on real traffic.
 
-Front-end capability is duck-typed: an in-process
-:class:`~repro.service.StreamingScorer` (has ``registry``) supports the
-full machine including shadows; a :class:`~repro.serving.pool.WorkerPool`
-(has ``reload_workers``) supports deploy/promote/rollback via artefact
-swap + worker reload, but not shadow scoring — its members live in other
-processes and cannot share the engine pass.
+The manager drives the front-end only through its own methods:
+``deploy_live`` and ``swap_live`` put a version in service (registry
+replace after a quiesce in-process, artefact swap + worker reload on a
+:class:`~repro.serving.pool.WorkerPool`), and ``supports_shadow`` says
+whether candidates can score in shadow — only in-process, where they share
+the engine pass with the live monitors.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from ..exceptions import LifecycleStateError
+from ..exceptions import ConfigurationError, LifecycleStateError
 from .refit import incremental_refit
 from .store import MonitorStore
 
@@ -90,9 +90,7 @@ class LifecycleManager:
     def __init__(self, scorer, store, network=None) -> None:
         self.scorer = scorer
         self.store = store if isinstance(store, MonitorStore) else MonitorStore(store)
-        self.network = network if network is not None else getattr(
-            scorer, "network", None
-        )
+        self.network = network if network is not None else scorer.network
         # RLock: a shadow-breach callback fires on the scorer's worker
         # thread and re-enters rollback()/retire paths while a control
         # thread may be reading status().
@@ -106,18 +104,10 @@ class LifecycleManager:
         self._watches: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
-    # front-end capability (duck-typed)
+    # front-end
     # ------------------------------------------------------------------
-    @property
-    def _in_process(self) -> bool:
-        return hasattr(self.scorer, "registry")
-
-    @property
-    def _pooled(self) -> bool:
-        return hasattr(self.scorer, "reload_workers")
-
     def _require_shadow_capable(self, operation: str) -> None:
-        if not self._in_process:
+        if not self.scorer.supports_shadow:
             raise LifecycleStateError(
                 f"{operation} needs shadow scoring, which requires an "
                 "in-process streaming scorer; a worker pool's members live "
@@ -125,38 +115,8 @@ class LifecycleManager:
                 "(stage with shadow=False instead)"
             )
 
-    def _swap_live(self, name: str, monitor, version: int, timeout: float, quiesce: bool) -> None:
-        """Make ``version`` the served state of ``name`` on the front-end."""
-        if self._in_process:
-            if quiesce:
-                # Promotion barrier: every frame submitted before this point
-                # resolves against the old version before the swap happens.
-                self.scorer.quiesce(timeout=timeout)
-            self.scorer.replace(name, monitor, version=version)
-        elif self._pooled:
-            from ..serving.artifacts import update_monitor_artifact
-
-            update_monitor_artifact(
-                self.scorer.bundle, name, self.store.path(name, version)
-            )
-            if not self.scorer.reload_workers(timeout=timeout):
-                raise LifecycleStateError(
-                    f"worker pool failed to reload within {timeout}s while "
-                    f"promoting '{name}' v{version}"
-                )
-        else:
-            raise LifecycleStateError(
-                "the front-end supports neither in-process replacement "
-                "(registry) nor worker reload (reload_workers)"
-            )
-
     def _set_state(self, name: str, version: int, state: str) -> None:
         self._states.setdefault(name, {})[int(version)] = state
-
-    def _record_event(self, kind: str, name: str, **detail) -> None:
-        stats = getattr(self.scorer, "stats", None)
-        if stats is not None and hasattr(stats, "record_event"):
-            stats.record_event(kind, name, **detail)
 
     # ------------------------------------------------------------------
     # transitions
@@ -187,19 +147,10 @@ class LifecycleManager:
                 self.store.fingerprint(name, version)  # validates existence
             if monitor is None:
                 monitor = self.store.load(name, version, self.network)
-            if self._in_process:
-                if name in self.scorer.registry:
-                    self.scorer.replace(name, monitor, version=version)
-                else:
-                    self.scorer.register(name, monitor, version=version)
-            elif self._pooled and name not in self.scorer.monitor_names:
-                raise LifecycleStateError(
-                    f"cannot deploy new name '{name}' on a worker pool; the "
-                    "bundle the workers booted from does not serve it"
-                )
+            self.scorer.deploy_live(name, monitor, version)
             self.store.set_live(name, version)
             self._set_state(name, version, STATE_LIVE)
-            self._record_event("deploy", name, version=version)
+            self.scorer.stats.record_event("deploy", name, version=version)
             return int(version)
 
     def stage(
@@ -257,7 +208,7 @@ class LifecycleManager:
                 state = STATE_CANDIDATE
             self._staged[name] = _Staged(int(version), candidate, shadow_name, state)
             self._set_state(name, version, state)
-            self._record_event("stage", name, version=version, shadow=shadow)
+            self.scorer.stats.record_event("stage", name, version=version, shadow=shadow)
             return int(version)
 
     def _breach_handler(self, name: str, version: int):
@@ -283,7 +234,7 @@ class LifecycleManager:
                 if staged.shadow_name is not None:
                     self.scorer.detach_shadow(staged.shadow_name)
                 self._set_state(name, version, STATE_RETIRED)
-                self._record_event(
+                self.scorer.stats.record_event(
                     "shadow_breach",
                     name,
                     version=version,
@@ -291,7 +242,7 @@ class LifecycleManager:
                 )
                 return
             if self._watches.get(name) is not None:
-                self._record_event(
+                self.scorer.stats.record_event(
                     "watch_breach",
                     name,
                     version=version,
@@ -375,9 +326,8 @@ class LifecycleManager:
             if watch_budget is not None:
                 self._require_shadow_capable("promote(watch_budget=...)")
                 old_monitor = self.scorer.registry.get(name)
-            self._swap_live(
-                name, staged.monitor, staged.version, timeout, quiesce=True
-            )
+            artifact = self.store.path(name, staged.version)
+            self.scorer.swap_live(name, staged.monitor, staged.version, artifact, timeout)
             self.store.set_live(name, staged.version)
             del self._staged[name]
             if old_version is not None:
@@ -404,7 +354,7 @@ class LifecycleManager:
             if staged.shadow_name is not None:
                 self.scorer.detach_shadow(staged.shadow_name)
             self._set_state(name, staged.version, STATE_RETIRED)
-            self._record_event("discard", name, version=staged.version)
+            self.scorer.stats.record_event("discard", name, version=staged.version)
             return staged.version
 
     def rollback(
@@ -422,21 +372,23 @@ class LifecycleManager:
         with self._lock:
             old_live = self.store.live_version(name)
             watch_name = self._watches.pop(name, None)
-            if watch_name is not None and self._in_process:
+            if watch_name is not None:
                 # Drop the post-promotion watch first: after the rollback
                 # the old version *is* live again and trailing it would
                 # only re-measure perfect agreement (or re-fire a breach).
                 try:
                     self.scorer.detach_shadow(watch_name)
-                except LifecycleStateError:  # already detached
+                except ConfigurationError:  # already detached
                     pass
             version = self.store.rollback(name, version)
             monitor = self.store.load(name, version, self.network)
-            self._swap_live(name, monitor, version, timeout, quiesce=_quiesce)
+            self.scorer.swap_live(
+                name, monitor, version, self.store.path(name, version), timeout, _quiesce
+            )
             if old_live is not None:
                 self._set_state(name, old_live, STATE_RETIRED)
             self._set_state(name, version, STATE_LIVE)
-            self._record_event(
+            self.scorer.stats.record_event(
                 "rollback", name, version=version, rolled_back_from=old_live
             )
             return int(version)
@@ -522,11 +474,7 @@ class LifecycleManager:
                     entry["watch"] = watch
                 names[name] = entry
             return {
-                "front_end": (
-                    "streaming_scorer" if self._in_process
-                    else "worker_pool" if self._pooled
-                    else type(self.scorer).__name__
-                ),
+                "front_end": self.scorer.describe()["kind"],
                 "store": str(self.store.directory),
                 "monitors": names,
             }

@@ -28,6 +28,9 @@ The scorer hosts its monitors in a
 :class:`~repro.monitors.registry.MonitorRegistry`, so several families
 (standard + robust, ensembles, class-conditional dispatchers) serve side by
 side over one network, and members can be added or retired mid-stream.
+
+Submission, coalescing, future resolution and shutdown live in
+:class:`Frontend`, shared with :class:`~repro.serving.pool.WorkerPool`.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import numpy as np
 
 from ..exceptions import (
     ConfigurationError,
+    LifecycleStateError,
     ServiceClosedError,
     ServiceOverloadedError,
     ShapeError,
@@ -56,6 +60,7 @@ __all__ = [
     "BatchPolicy",
     "FrameRequest",
     "FrameResult",
+    "Frontend",
     "MicroBatcher",
     "ServiceStats",
     "StreamingScorer",
@@ -169,6 +174,10 @@ class MicroBatcher:
             return False
         return self.full or now >= self.deadline()
 
+    def flush_reason(self, now: float) -> str:
+        """Why a flush at ``now`` fires: ``size`` or ``deadline``."""
+        return "size" if self.full else "deadline"
+
     def take(self) -> List[FrameRequest]:
         """Pop the next batch (up to ``max_batch`` oldest frames)."""
         batch = []
@@ -231,8 +240,9 @@ class ServiceStats:
                 self._latencies.extend(latencies)
 
     def record_cancelled(self, count: int) -> None:
-        with self._lock:
-            self.frames_cancelled += count
+        if count:
+            with self._lock:
+                self.frames_cancelled += count
 
     def record_event(self, kind: str, name: str, **detail: object) -> None:
         """Record one registry-churn event (register/unregister/promote/…).
@@ -289,7 +299,241 @@ class ServiceStats:
         return summary
 
 
-class StreamingScorer:
+class Frontend:
+    """Micro-batch front-end core: submit, coalesce, resolve, close.
+
+    One coalescing thread takes each due batch, drops cancelled futures and
+    hands the rest to :meth:`_handle_batch`, the one place a concrete
+    front-end differs (in-thread engine pass, or ring write and dispatch).
+    """
+
+    #: ``describe()["kind"]``; also names the coalescing thread and errors.
+    kind = "front_end"
+    #: Whether shadow candidates can score beside the live monitors.
+    supports_shadow = False
+    #: Host network in this process (None when scoring runs elsewhere).
+    network: Optional[Sequential] = None
+
+    def __init__(
+        self,
+        policy: BatchPolicy,
+        batcher: MicroBatcher,
+        input_dim: int,
+        clock: Callable[[], float],
+    ) -> None:
+        self._noun = self.kind.replace("_", " ")
+        self.policy = policy
+        self.stats = ServiceStats()
+        self._batcher = batcher
+        self._input_dim = int(input_dim)
+        self._clock = clock
+        self._lock = threading.Lock()
+        self._wakeup = threading.Condition(self._lock)
+        self._closed = False
+        self._draining = False
+        self._worker: Optional[threading.Thread] = None
+
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    @property
+    def is_running(self) -> bool:
+        return self._worker is not None and self._worker.is_alive()
+
+    def start(self):
+        """Start the coalescing thread (idempotent while running)."""
+        with self._lock:
+            if self._closed:
+                raise ServiceClosedError(f"cannot restart a closed {self._noun}")
+            if self.is_running:
+                return self
+            self._start_backend()
+            self._worker = threading.Thread(
+                target=self._coalesce_loop,
+                name="repro-" + self.kind.replace("_", "-"),
+                daemon=True,
+            )
+            self._worker.start()
+        return self
+
+    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
+        """Stop accepting frames and shut the front-end down.
+
+        ``drain=True`` (the default) handles everything still queued before
+        the coalescing thread exits; ``drain=False`` cancels queued futures
+        instead (batches already handed on still resolve).
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._draining = drain
+            to_cancel: List[FrameRequest] = []
+            if not drain:
+                for batch in self._batcher.drain():
+                    to_cancel.extend(batch)
+            worker = self._worker
+            self._wakeup.notify_all()
+        # Futures are cancelled outside the lock: cancel() runs done-
+        # callbacks synchronously, and a callback that re-enters the
+        # front-end must not deadlock.
+        self._cancel(to_cancel)
+        if worker is not None:
+            worker.join(timeout)
+        self._stop_backend(drain, timeout)
+
+    def _start_backend(self) -> None:
+        """Bring up what batches are handed to (caller holds the lock)."""
+
+    def _stop_backend(self, drain: bool, timeout: Optional[float]) -> None:
+        """Tear that down again once the coalescing thread has exited."""
+
+    def quiesce(self, timeout: Optional[float] = None) -> bool:
+        """Block until every submitted frame has resolved (or ``timeout``).
+
+        Returns True when the pipeline drained.  This is the promotion
+        barrier of the lifecycle manager: quiesce, then swap — every frame
+        submitted before the quiesce began has provably been scored against
+        the pre-swap monitors.
+        """
+        deadline = None if timeout is None else self._clock() + timeout
+        while self.stats.in_flight() > 0:
+            if deadline is not None and self._clock() >= deadline:
+                return False
+            with self._lock:
+                # Nudge the coalescer: a deadline-pending batch should flush
+                # now rather than keep the quiescing thread waiting.
+                self._wakeup.notify_all()
+            time.sleep(0.001)
+        return True
+
+    def __enter__(self):
+        return self.start()
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(drain=exc_type is None)
+
+    # ------------------------------------------------------------------
+    # submission
+    # ------------------------------------------------------------------
+    def _coerce_frames(self, frames: np.ndarray, expect_many: bool) -> np.ndarray:
+        # Always copy: the queue must own the frame data, because producers
+        # routinely refill their sensor buffer the moment submit() returns,
+        # long before the micro-batch flushes.
+        frames = np.array(frames, dtype=np.float64, copy=True)
+        if frames.ndim == 1 and not expect_many:
+            frames = frames[None, :]
+        frames = np.atleast_2d(frames)
+        if frames.ndim != 2:
+            raise ShapeError(
+                f"expected a frame vector or (N, d) burst, got shape {frames.shape}"
+            )
+        if frames.shape[0] and frames.shape[1] != self._input_dim:
+            raise ShapeError(
+                f"frame width {frames.shape[1]} does not match the {self._noun}'s "
+                f"input dimension {self._input_dim}"
+            )
+        return frames
+
+    def submit(self, frame: np.ndarray) -> "Future[FrameResult]":
+        """Queue one frame; returns the future of its :class:`FrameResult`."""
+        frames = self._coerce_frames(frame, expect_many=False)
+        if frames.shape[0] != 1:
+            raise ShapeError("submit() takes exactly one frame; use submit_many")
+        return self._submit_coerced(frames)[0]
+
+    def submit_many(self, frames: np.ndarray) -> List["Future[FrameResult]"]:
+        """Queue a burst of frames; returns one future per row, in order.
+
+        The whole burst is enqueued under one lock acquisition, so a burst
+        is coalesced together (and with whatever else is pending) rather
+        than trickling into the coalescer one frame at a time.
+        """
+        return self._submit_coerced(self._coerce_frames(frames, expect_many=True))
+
+    def _check_accepting(self) -> None:
+        """Raise unless new frames may be queued (caller holds the lock)."""
+        if self._closed:
+            raise ServiceClosedError(
+                f"the {self._noun} is closed and no longer accepts frames"
+            )
+        if not self.is_running:
+            raise ServiceClosedError(
+                f"the {self._noun} is not running; call start() first"
+            )
+
+    def _submit_coerced(self, frames: np.ndarray) -> List["Future[FrameResult]"]:
+        now = self._clock()
+        requests = [FrameRequest(frame=row, enqueued_at=now) for row in frames]
+        with self._lock:
+            self._check_accepting()
+            if requests and self._batcher.would_overflow(len(requests)):
+                raise ServiceOverloadedError(
+                    f"enqueueing {len(requests)} frame(s) would exceed "
+                    f"max_pending={self.policy.max_pending}; shed load or "
+                    "widen the policy"
+                )
+            for request in requests:
+                self._batcher.append(request)
+            if requests:
+                self._wakeup.notify_all()
+        self.stats.record_submitted(len(requests))
+        return [request.future for request in requests]
+
+    # ------------------------------------------------------------------
+    # coalescing
+    # ------------------------------------------------------------------
+    def _coalesce_loop(self) -> None:
+        while True:
+            with self._lock:
+                while not self._closed:
+                    now = self._clock()
+                    if self._batcher.ready(now):
+                        break
+                    deadline = self._batcher.deadline()
+                    timeout = None if deadline is None else max(0.0, deadline - now)
+                    self._wakeup.wait(timeout)
+                if self._closed and (not self._draining or len(self._batcher) == 0):
+                    return
+                reason = "drain" if self._closed else self._batcher.flush_reason(now)
+                batch = self._batcher.take()
+            requests = [
+                request
+                for request in batch
+                if request.future.set_running_or_notify_cancel()
+            ]
+            self.stats.record_cancelled(len(batch) - len(requests))
+            if requests:
+                self._handle_batch(requests, reason)
+
+    def _handle_batch(self, requests: List[FrameRequest], reason: str) -> None:
+        """Score (or hand on) one taken batch of live requests."""
+        raise NotImplementedError
+
+    def _resolve(
+        self, requests: List[FrameRequest], results: List[FrameResult], reason: str
+    ) -> None:
+        done = self._clock()
+        latencies = [done - request.enqueued_at for request in requests]
+        for request, result in zip(requests, results):
+            request.future.set_result(result)
+        self.stats.record_batch(len(requests), reason, latencies, failed=False)
+
+    def _fail(
+        self, requests: List[FrameRequest], error: BaseException, reason: str
+    ) -> None:
+        for request in requests:
+            if not request.future.done():
+                request.future.set_exception(error)
+        self.stats.record_batch(len(requests), reason, (), failed=True)
+
+    def _cancel(self, requests: List[FrameRequest]) -> None:
+        self.stats.record_cancelled(
+            sum(1 for request in requests if request.future.cancel())
+        )
+
+
+class StreamingScorer(Frontend):
     """Micro-batching front-end serving many monitors over one network.
 
     Parameters
@@ -321,6 +565,9 @@ class StreamingScorer:
     :meth:`submit` / :meth:`submit_many` calls.
     """
 
+    kind = "streaming_scorer"
+    supports_shadow = True
+
     def __init__(
         self,
         network: Sequential,
@@ -330,28 +577,20 @@ class StreamingScorer:
         cache_batches: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.policy = policy if policy is not None else BatchPolicy()
         if engine is not None and engine.network is not network:
             raise ConfigurationError(
                 "the streaming scorer's engine must wrap its host network"
             )
+        policy = policy if policy is not None else BatchPolicy()
+        super().__init__(policy, MicroBatcher(policy), network.input_dim, clock)
         self.engine = engine if engine is not None else BatchScoringEngine(network)
         self.registry = MonitorRegistry(network)
         self.want_verdicts = bool(want_verdicts)
         self.cache_batches = bool(cache_batches)
-        self.stats = ServiceStats()
         #: Optional :class:`~repro.lifecycle.manager.LifecycleManager` over
         #: this scorer; :meth:`MonitorPipeline.serve(lifecycle=True)
         #: <repro.core.pipeline.MonitorPipeline.serve>` attaches one.
         self.lifecycle = None
-        self._clock = clock
-        self._batcher = MicroBatcher(self.policy)
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._closed = False
-        self._draining = False
-        self._worker: Optional[threading.Thread] = None
-        self._frame_dim: Optional[int] = None
 
     # ------------------------------------------------------------------
     # registration (delegates to the registry)
@@ -390,6 +629,33 @@ class StreamingScorer:
         old = self.registry.replace(name, monitor, version=version)
         self.stats.record_event("promote", name, version=version)
         return old
+
+    def deploy_live(self, name: str, monitor, version: int) -> None:
+        """First go-live of ``name``: register it (or replace a stray entry)."""
+        serve = self.replace if name in self.registry else self.register
+        serve(name, monitor, version=version)
+
+    def swap_live(
+        self,
+        name: str,
+        monitor,
+        version: int,
+        artifact,
+        timeout: float = 10.0,
+        quiesce: bool = True,
+    ) -> None:
+        """Serve ``monitor`` as ``name`` v``version`` (``artifact`` is unused).
+
+        ``quiesce=True`` first resolves every frame already submitted; if
+        that takes longer than ``timeout``, nothing is replaced and
+        :class:`~repro.exceptions.LifecycleStateError` is raised.
+        """
+        if quiesce and not self.quiesce(timeout=timeout):
+            raise LifecycleStateError(
+                f"the streaming scorer did not quiesce within {timeout}s while "
+                f"swapping '{name}' to v{version}"
+            )
+        self.replace(name, monitor, version=version)
 
     def attach_shadow(
         self,
@@ -454,192 +720,20 @@ class StreamingScorer:
         """
         return self.registry.set_matcher_backend(backend)
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def is_running(self) -> bool:
-        return self._worker is not None and self._worker.is_alive()
-
-    def start(self) -> "StreamingScorer":
-        """Start the worker thread (idempotent while running)."""
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("cannot restart a closed scorer")
-            if self._worker is not None and self._worker.is_alive():
-                return self
-            self._worker = threading.Thread(
-                target=self._worker_loop, name="repro-streaming-scorer", daemon=True
-            )
-            self._worker.start()
-        return self
-
-    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting frames and shut the worker down.
-
-        ``drain=True`` (the default) scores everything still queued before
-        the worker exits; ``drain=False`` cancels pending futures instead.
-        """
-        to_cancel: List[FrameRequest] = []
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._draining = drain
-            if not drain:
-                for batch in self._batcher.drain():
-                    to_cancel.extend(batch)
-            worker = self._worker
-            self._wakeup.notify_all()
-        # Futures are cancelled outside the lock: cancel() runs done-
-        # callbacks synchronously, and a callback that re-enters the scorer
-        # must not deadlock (mirrors _score_batch resolving outside it).
-        cancelled = sum(1 for request in to_cancel if request.future.cancel())
-        if cancelled:
-            self.stats.record_cancelled(cancelled)
-        if worker is not None:
-            worker.join(timeout)
-
-    def quiesce(self, timeout: Optional[float] = None) -> bool:
-        """Block until every submitted frame has resolved (or ``timeout``).
-
-        Returns True when the pipeline drained.  This is the promotion
-        barrier of the lifecycle manager: quiesce, then swap — every frame
-        submitted before the quiesce began has provably been scored against
-        the pre-swap registry snapshot.
-        """
-        deadline = None if timeout is None else self._clock() + timeout
-        while self.stats.in_flight() > 0:
-            if deadline is not None and self._clock() >= deadline:
-                return False
-            with self._lock:
-                # Nudge the worker: a deadline-pending batch should flush
-                # now rather than keep the quiescing thread waiting.
-                self._wakeup.notify_all()
-            time.sleep(0.001)
-        return True
-
     def describe(self) -> Dict[str, object]:
         """Identity snapshot: registry entries with fingerprints/versions."""
         return {
-            "kind": "streaming_scorer",
+            "kind": self.kind,
             "registry": self.registry.describe(),
             "shadows": self.shadow_names(),
             "max_batch": self.policy.max_batch,
             "max_latency": self.policy.max_latency,
         }
 
-    def __enter__(self) -> "StreamingScorer":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
     # ------------------------------------------------------------------
-    # submission
+    # scoring
     # ------------------------------------------------------------------
-    def _coerce_frames(self, frames: np.ndarray, expect_many: bool) -> np.ndarray:
-        # Always copy: the queue must own the frame data, because producers
-        # routinely refill their sensor buffer the moment submit() returns,
-        # long before the worker flushes the micro-batch.
-        frames = np.array(frames, dtype=np.float64, copy=True)
-        if frames.ndim == 1 and not expect_many:
-            frames = frames[None, :]
-        frames = np.atleast_2d(frames)
-        if frames.ndim != 2:
-            raise ShapeError(
-                f"expected a frame vector or (N, d) burst, got shape {frames.shape}"
-            )
-        if frames.shape[0] and frames.shape[1] == 0:
-            raise ShapeError("frames must have at least one feature")
-        if self._frame_dim is None:
-            expected = getattr(self.network, "input_dim", None)
-            self._frame_dim = int(expected) if expected else frames.shape[1]
-        if frames.shape[0] and frames.shape[1] != self._frame_dim:
-            raise ShapeError(
-                f"frame width {frames.shape[1]} does not match the host "
-                f"network's input dimension {self._frame_dim}"
-            )
-        return frames
-
-    def submit(self, frame: np.ndarray) -> "Future[FrameResult]":
-        """Queue one frame; returns the future of its :class:`FrameResult`."""
-        frames = self._coerce_frames(frame, expect_many=False)
-        if frames.shape[0] != 1:
-            raise ShapeError("submit() takes exactly one frame; use submit_many")
-        return self._submit_coerced(frames)[0]
-
-    def submit_many(self, frames: np.ndarray) -> List["Future[FrameResult]"]:
-        """Queue a burst of frames; returns one future per row, in order.
-
-        The whole burst is enqueued under one lock acquisition, so a burst
-        is coalesced together (and with whatever else is pending) rather
-        than trickling into the worker one frame at a time.
-        """
-        return self._submit_coerced(self._coerce_frames(frames, expect_many=True))
-
-    def _submit_coerced(self, frames: np.ndarray) -> List["Future[FrameResult]"]:
-        now = self._clock()
-        requests = [FrameRequest(frame=row, enqueued_at=now) for row in frames]
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError(
-                    "the streaming scorer is closed and no longer accepts frames"
-                )
-            if self._worker is None or not self._worker.is_alive():
-                raise ServiceClosedError(
-                    "the streaming scorer is not running; call start() first"
-                )
-            if requests and self._batcher.would_overflow(len(requests)):
-                raise ServiceOverloadedError(
-                    f"enqueueing {len(requests)} frame(s) would exceed "
-                    f"max_pending={self.policy.max_pending}; shed load or "
-                    "widen the policy"
-                )
-            for request in requests:
-                self._batcher.append(request)
-            if requests:
-                self._wakeup.notify_all()
-        self.stats.record_submitted(len(requests))
-        return [request.future for request in requests]
-
-    # ------------------------------------------------------------------
-    # worker
-    # ------------------------------------------------------------------
-    def _worker_loop(self) -> None:
-        while True:
-            with self._lock:
-                while True:
-                    if self._closed:
-                        break
-                    now = self._clock()
-                    if self._batcher.ready(now):
-                        break
-                    deadline = self._batcher.deadline()
-                    timeout = None if deadline is None else max(0.0, deadline - now)
-                    self._wakeup.wait(timeout)
-                if self._closed and (not self._draining or len(self._batcher) == 0):
-                    return
-                reason = (
-                    "drain"
-                    if self._closed
-                    else ("size" if self._batcher.full else "deadline")
-                )
-                batch = self._batcher.take()
-            if batch:
-                self._score_batch(batch, reason)
-
-    def _score_batch(self, batch: List[FrameRequest], reason: str) -> None:
-        requests = [
-            request
-            for request in batch
-            if request.future.set_running_or_notify_cancel()
-        ]
-        cancelled = len(batch) - len(requests)
-        if cancelled:
-            self.stats.record_cancelled(cancelled)
-        if not requests:
-            return
+    def _handle_batch(self, requests: List[FrameRequest], reason: str) -> None:
         inputs = np.vstack([request.frame for request in requests])
         monitors = self.registry.snapshot()
         shadows = [
@@ -676,13 +770,6 @@ class StreamingScorer:
                 )
                 results.append(FrameResult(warns=warns, verdicts=verdicts))
         except BaseException as exc:  # propagate the failure into every future
-            for request in requests:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-            self.stats.record_batch(len(requests), reason, (), failed=True)
+            self._fail(requests, exc, reason)
             return
-        done = self._clock()
-        latencies = [done - request.enqueued_at for request in requests]
-        for request, result in zip(requests, results):
-            request.future.set_result(result)
-        self.stats.record_batch(len(requests), reason, latencies, failed=False)
+        self._resolve(requests, results, reason)

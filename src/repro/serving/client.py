@@ -31,6 +31,11 @@ from . import protocol
 __all__ = ["AsyncScoringClient", "ScoringClient"]
 
 
+def _dial_error(address: Tuple[str, int], exc: OSError) -> RemoteScoringError:
+    """The typed error a failed connection attempt surfaces as."""
+    return RemoteScoringError(f"cannot connect to {address[0]}:{address[1]}: {exc}")
+
+
 class ScoringClient:
     """Blocking, pipelining client of a :class:`~repro.serving.ScoringServer`.
 
@@ -80,7 +85,10 @@ class ScoringClient:
                 raise RemoteScoringError("this client has been closed")
             if self._sock is not None:
                 return self
-            sock = socket.create_connection(self.address, timeout=self.timeout)
+            try:
+                sock = socket.create_connection(self.address, timeout=self.timeout)
+            except OSError as exc:
+                raise _dial_error(self.address, exc) from exc
             sock.settimeout(None)  # the reader blocks; timeouts are per-future
             self._sock = sock
             self._reader = threading.Thread(
@@ -312,7 +320,10 @@ class AsyncScoringClient:
     async def connect(self) -> "AsyncScoringClient":
         if self._writer is not None:
             return self
-        reader, writer = await asyncio.open_connection(*self.address)
+        try:
+            reader, writer = await asyncio.open_connection(*self.address)
+        except OSError as exc:
+            raise _dial_error(self.address, exc) from exc
         self._writer = writer
         self._reader_task = asyncio.ensure_future(self._read_loop(reader))
         return self

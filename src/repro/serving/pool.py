@@ -2,11 +2,13 @@
 
 :class:`WorkerPool` grows the streaming scorer's single worker *thread*
 into N worker *processes* — the step that lets the service use every core
-instead of time-slicing one GIL.  The front-end surface is unchanged
-(``submit`` / ``submit_many`` → one future per frame, ``close(drain=...)``,
-a :class:`~repro.service.streaming.ServiceStats` ledger), so anything that
-can drive a :class:`~repro.service.StreamingScorer` — including the socket
-server — can drive a pool.
+instead of time-slicing one GIL.  Submission, coalescing, future
+resolution, close/drain and quiesce come from the shared
+:class:`~repro.service.streaming.Frontend` core the in-process
+:class:`~repro.service.StreamingScorer` runs on, so anything that can drive
+a streaming scorer — including the socket server and the lifecycle
+manager — can drive a pool.  The pool itself only adds what a taken batch
+needs to reach another process, and the processes themselves.
 
 Architecture (one shared dispatch queue, N workers)::
 
@@ -14,12 +16,12 @@ Architecture (one shared dispatch queue, N workers)::
                                 │                │  frames via shared-memory ring
     futures  ◄──collector── result queue ◄───────┴────────────┘
 
-* the **dispatcher thread** coalesces frames under the pool's
-  :class:`~repro.service.BatchPolicy` with an *adaptive* deadline — the
-  flush deadline shrinks as queue depth grows (see :class:`AdaptiveBatcher`),
-  so a busy pool feeds idle workers promptly instead of letting frames age
-  toward the nominal latency bound — writes each batch into a free
-  shared-memory slot and queues only the slot coordinates;
+* the **dispatcher thread** (the front-end's coalescing thread) flushes
+  with an *adaptive* deadline — the flush deadline shrinks as queue depth
+  grows (see :class:`AdaptiveBatcher`), so a busy pool feeds idle workers
+  promptly instead of letting frames age toward the nominal latency bound
+  — writes each batch into a free shared-memory slot and queues only the
+  slot coordinates;
 * **workers** (separate processes, each booted from the same deployment
   bundle) claim tasks from the one shared queue, score, and answer on the
   result queue; every worker loads monitors from the same format-2
@@ -41,24 +43,23 @@ import queue as queue_module
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Union
 
 import numpy as np
 
 from ..exceptions import (
     ConfigurationError,
+    LifecycleStateError,
     RemoteScoringError,
     ServiceClosedError,
-    ServiceOverloadedError,
-    ShapeError,
     WorkerCrashError,
 )
 from ..service.streaming import (
     BatchPolicy,
     FrameRequest,
     FrameResult,
+    Frontend,
     MicroBatcher,
-    ServiceStats,
 )
 from .artifacts import DeploymentBundle
 from .ring import SharedFrameRing
@@ -97,28 +98,24 @@ class AdaptiveBatcher(MicroBatcher):
 
     def flush_reason(self, now: float) -> str:
         """Why a flush at ``now`` fires: size, adaptive (early) or deadline."""
-        if self.full:
-            return "size"
-        base = MicroBatcher.deadline(self)
-        if base is not None and now < base:
+        if len(self) and not self.full and now < MicroBatcher.deadline(self):
             return "adaptive"
-        return "deadline"
+        return super().flush_reason(now)
 
 
-class _Task:
-    """One dispatched batch: its futures, ring slot and accounting."""
+class _Task(NamedTuple):
+    """One dispatched batch: its futures, ring slot and flush reason."""
 
-    __slots__ = ("requests", "slot", "nrows", "reason", "dispatched_at")
+    requests: List[FrameRequest]
+    slot: int
+    reason: str
 
-    def __init__(self, requests, slot, nrows, reason, dispatched_at):
-        self.requests = requests
-        self.slot = slot
-        self.nrows = nrows
-        self.reason = reason
-        self.dispatched_at = dispatched_at
+    def message(self, task_id: int, chaos: Optional[str] = None) -> tuple:
+        """The task-queue entry that (re-)dispatches this batch."""
+        return ("batch", task_id, self.slot, len(self.requests), chaos)
 
 
-class WorkerPool:
+class WorkerPool(Frontend):
     """Process-based scoring pool with the streaming submit/future surface.
 
     Parameters
@@ -149,6 +146,8 @@ class WorkerPool:
         process-level parallelism replaces BLAS thread pools).
     """
 
+    kind = "worker_pool"
+
     def __init__(
         self,
         bundle: Union[DeploymentBundle, str, Path],
@@ -168,14 +167,14 @@ class WorkerPool:
         self.bundle = (
             bundle if isinstance(bundle, DeploymentBundle) else DeploymentBundle(bundle)
         )
-        self.policy = policy if policy is not None else BatchPolicy(
+        policy = policy if policy is not None else BatchPolicy(
             max_batch=64, max_latency=0.005
         )
+        super().__init__(policy, AdaptiveBatcher(policy), self.bundle.input_dim, clock)
         self.num_workers_requested = int(num_workers)
         self.max_restarts = int(max_restarts)
         self.matcher_backend = matcher_backend
         self.pin_blas_threads = bool(pin_blas_threads)
-        self._clock = clock
         self._ctx = multiprocessing.get_context(mp_context)
         slots = int(slot_count) if slot_count is not None else max(2 * num_workers, 2)
         if slots < num_workers:
@@ -184,12 +183,6 @@ class WorkerPool:
         self._task_queue = self._ctx.Queue()
         self._result_queue = self._ctx.Queue()
 
-        self.stats = ServiceStats()
-        self._batcher = AdaptiveBatcher(self.policy)
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
-        self._closed = False
-        self._draining = False
         self._stopping = False
         self._broken: Optional[BaseException] = None
         self._free_slots = set(range(slots))
@@ -207,7 +200,6 @@ class WorkerPool:
         self._reload_acks: Dict[int, int] = {}
         self._dispatch_paused = False
         self._pending_chaos: Optional[str] = None
-        self._dispatcher: Optional[threading.Thread] = None
         self._collector: Optional[threading.Thread] = None
         self._collector_stop = threading.Event()
 
@@ -231,14 +223,10 @@ class WorkerPool:
         with self._lock:
             return self._restarts
 
-    @property
-    def is_running(self) -> bool:
-        return self._dispatcher is not None and self._dispatcher.is_alive()
-
     def describe(self) -> Dict[str, object]:
         with self._lock:
             return {
-                "kind": "worker_pool",
+                "kind": self.kind,
                 "num_workers": sum(1 for p in self._workers.values() if p.is_alive()),
                 "requested_workers": self.num_workers_requested,
                 "restarts": self._restarts,
@@ -288,65 +276,28 @@ class WorkerPool:
                     os.environ[key] = value
         self._workers[worker_id] = process
 
-    def start(self) -> "WorkerPool":
-        """Spawn the workers and the dispatcher/collector threads."""
-        with self._lock:
-            if self._closed:
-                raise ServiceClosedError("cannot restart a closed worker pool")
-            if self._dispatcher is not None and self._dispatcher.is_alive():
-                return self
-            for _ in range(self.num_workers_requested):
-                self._spawn_worker()
-            self._collector_stop.clear()
-            self._collector = threading.Thread(
-                target=self._collect_loop, name="repro-pool-collector", daemon=True
-            )
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="repro-pool-dispatcher", daemon=True
-            )
-            self._collector.start()
-            self._dispatcher.start()
-        return self
+    def _start_backend(self) -> None:
+        """Spawn the workers and the collector thread."""
+        for _ in range(self.num_workers_requested):
+            self._spawn_worker()
+        self._collector_stop.clear()
+        self._collector = threading.Thread(
+            target=self._collect_loop, name="repro-pool-collector", daemon=True
+        )
+        self._collector.start()
 
-    def __enter__(self) -> "WorkerPool":
-        return self.start()
+    def _stop_backend(self, drain: bool, timeout: Optional[float]) -> None:
+        """Wait out dispatched batches, then stop workers and release the ring.
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(drain=exc_type is None)
-
-    def close(self, drain: bool = True, timeout: Optional[float] = None) -> None:
-        """Stop accepting frames, shut workers down, release the ring.
-
-        ``drain=True`` scores everything already accepted (queued and
-        in-flight) before the workers exit; ``drain=False`` cancels queued
-        frames (in-flight batches still resolve).  Blocks until every
-        worker process has been joined — after ``close`` returns there are
-        no child processes left (asserted by the CI end-to-end leg via
-        ``multiprocessing.active_children()``).
+        ``close(drain=False)`` still lets in-flight batches resolve.  Blocks
+        until every worker process has been joined — after ``close``
+        returns there are no child processes left (asserted by the CI
+        end-to-end leg via ``multiprocessing.active_children()``).
         """
-        to_cancel: List[FrameRequest] = []
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            self._draining = drain
-            if not drain:
-                for batch in self._batcher.drain():
-                    to_cancel.extend(batch)
-            self._wakeup.notify_all()
-        cancelled = sum(1 for request in to_cancel if request.future.cancel())
-        if cancelled:
-            self.stats.record_cancelled(cancelled)
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout)
         # Everything dispatched resolves through the collector; wait for it.
         deadline = None if timeout is None else self._clock() + timeout
         with self._lock:
-            while self._outstanding and self._broken is None:
-                remaining = None if deadline is None else deadline - self._clock()
-                if remaining is not None and remaining <= 0:
-                    break
-                self._wakeup.wait(0.05 if remaining is None else min(0.05, remaining))
+            self._wait_for(lambda: not self._outstanding, deadline)
             self._stopping = True
             workers = list(self._workers.values())
         for _ in workers:
@@ -369,68 +320,57 @@ class WorkerPool:
         self._ring.unlink()
         _LOG.info("pool closed (drain=%s, restarts=%d)", drain, self._restarts)
 
-    # ------------------------------------------------------------------
-    # submission (mirrors StreamingScorer's front-end contract)
-    # ------------------------------------------------------------------
-    def _coerce_frames(self, frames: np.ndarray, expect_many: bool) -> np.ndarray:
-        frames = np.array(frames, dtype=np.float64, copy=True)
-        if frames.ndim == 1 and not expect_many:
-            frames = frames[None, :]
-        frames = np.atleast_2d(frames)
-        if frames.ndim != 2:
-            raise ShapeError(
-                f"expected a frame vector or (N, d) burst, got shape {frames.shape}"
-            )
-        if frames.shape[0] and frames.shape[1] != self.bundle.input_dim:
-            raise ShapeError(
-                f"frame width {frames.shape[1]} does not match the deployment's "
-                f"input dimension {self.bundle.input_dim}"
-            )
-        return frames
+    def _wait_for(self, done: Callable[[], bool], deadline: Optional[float]) -> bool:
+        """Wait (lock held) until ``done()`` or the pool breaks; False on timeout."""
+        while not done() and self._broken is None:
+            remaining = None if deadline is None else deadline - self._clock()
+            if remaining is not None and remaining <= 0:
+                return False
+            self._wakeup.wait(0.05 if remaining is None else min(0.05, remaining))
+        return True
 
-    def submit(self, frame: np.ndarray) -> "object":
-        """Queue one frame; returns the future of its FrameResult."""
-        frames = self._coerce_frames(frame, expect_many=False)
-        if frames.shape[0] != 1:
-            raise ShapeError("submit() takes exactly one frame; use submit_many")
-        return self._submit_coerced(frames)[0]
+    def _raise_if_broken(self) -> None:
+        if self._broken is not None:
+            raise WorkerCrashError(
+                f"the worker pool is broken: {self._broken}"
+            ) from self._broken
 
-    def submit_many(self, frames: np.ndarray) -> List["object"]:
-        """Queue a burst under one lock acquisition; one future per row."""
-        return self._submit_coerced(self._coerce_frames(frames, expect_many=True))
-
-    def _submit_coerced(self, frames: np.ndarray) -> List["object"]:
-        now = self._clock()
-        requests = [FrameRequest(frame=row, enqueued_at=now) for row in frames]
-        with self._lock:
-            if self._broken is not None:
-                raise WorkerCrashError(
-                    f"the worker pool is broken: {self._broken}"
-                ) from self._broken
-            if self._closed:
-                raise ServiceClosedError(
-                    "the worker pool is closed and no longer accepts frames"
-                )
-            if self._dispatcher is None or not self._dispatcher.is_alive():
-                raise ServiceClosedError(
-                    "the worker pool is not running; call start() first"
-                )
-            if requests and self._batcher.would_overflow(len(requests)):
-                raise ServiceOverloadedError(
-                    f"enqueueing {len(requests)} frame(s) would exceed "
-                    f"max_pending={self.policy.max_pending}; shed load or widen "
-                    "the policy"
-                )
-            for request in requests:
-                self._batcher.append(request)
-            if requests:
-                self._wakeup.notify_all()
-        self.stats.record_submitted(len(requests))
-        return [request.future for request in requests]
+    def _check_accepting(self) -> None:
+        self._raise_if_broken()
+        super()._check_accepting()
 
     # ------------------------------------------------------------------
     # lifecycle: artefact swap + generation-gated worker reload
     # ------------------------------------------------------------------
+    def deploy_live(self, name: str, monitor, version: int) -> None:
+        """First go-live of ``name``: the booted bundle must already serve it."""
+        if name not in self.monitor_names:
+            raise LifecycleStateError(
+                f"cannot deploy new name '{name}' on a worker pool; the "
+                "bundle the workers booted from does not serve it"
+            )
+
+    def swap_live(
+        self,
+        name: str,
+        monitor,
+        version: int,
+        artifact,
+        timeout: float = 10.0,
+        quiesce: bool = True,
+    ) -> None:
+        """Swap ``name``'s bundle artefact for the stored ``artifact`` and
+        reload every worker (:meth:`reload_workers` always drains first).
+
+        Raises :class:`~repro.exceptions.LifecycleStateError` when the
+        reload does not complete within ``timeout``.
+        """
+        if not self.reload_workers(swap={name: artifact}, timeout=timeout):
+            raise LifecycleStateError(
+                f"worker pool failed to reload within {timeout}s while "
+                f"promoting '{name}' v{version}"
+            )
+
     def reload_workers(self, swap=None, timeout: float = 10.0) -> bool:
         """Reload every worker's monitors from the bundle; True on success.
 
@@ -461,24 +401,15 @@ class WorkerPool:
         with self._lock:
             if self._closed:
                 raise ServiceClosedError("cannot reload a closed worker pool")
-            if self._broken is not None:
-                raise WorkerCrashError(
-                    f"the worker pool is broken: {self._broken}"
-                ) from self._broken
+            self._raise_if_broken()
             if self._dispatch_paused:
                 raise ConfigurationError("a reload is already in progress")
             self._dispatch_paused = True
         try:
             with self._lock:
-                while self._outstanding and self._broken is None:
-                    remaining = deadline - self._clock()
-                    if remaining <= 0:
-                        return False
-                    self._wakeup.wait(min(0.05, remaining))
-                if self._broken is not None:
-                    raise WorkerCrashError(
-                        f"the worker pool is broken: {self._broken}"
-                    ) from self._broken
+                if not self._wait_for(lambda: not self._outstanding, deadline):
+                    return False
+                self._raise_if_broken()
             if swap:
                 from .artifacts import update_monitor_artifact
 
@@ -488,27 +419,23 @@ class WorkerPool:
                 self._generation.value += 1
                 target = int(self._generation.value)
             _LOG.info("bumped lifecycle generation to %d", target)
+            def behind() -> List[int]:
+                return [
+                    worker_id
+                    for worker_id, process in self._workers.items()
+                    if process.is_alive()
+                    and self._reload_acks.get(worker_id, -1) < target
+                ]
+
             with self._lock:
-                while self._broken is None:
-                    pending = [
-                        worker_id
-                        for worker_id, process in self._workers.items()
-                        if process.is_alive()
-                        and self._reload_acks.get(worker_id, -1) < target
-                    ]
-                    if not pending:
-                        return True
-                    remaining = deadline - self._clock()
-                    if remaining <= 0:
-                        _LOG.warning(
-                            "reload to generation %d timed out waiting for "
-                            "worker(s) %s",
-                            target,
-                            pending,
-                        )
-                        return False
-                    self._wakeup.wait(min(0.05, remaining))
-                return False
+                if not self._wait_for(lambda: not behind(), deadline):
+                    _LOG.warning(
+                        "reload to generation %d timed out waiting for worker(s) %s",
+                        target,
+                        behind(),
+                    )
+                    return False
+                return self._broken is None
         finally:
             with self._lock:
                 self._dispatch_paused = False
@@ -526,71 +453,35 @@ class WorkerPool:
             self._pending_chaos = CHAOS_EXIT_AFTER_CLAIM
 
     # ------------------------------------------------------------------
-    # dispatcher
+    # dispatch
     # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                while True:
-                    if self._broken is not None:
-                        return
-                    if self._closed and (
-                        not self._draining or len(self._batcher) == 0
-                    ):
-                        return
-                    if self._dispatch_paused and not self._closed:
-                        # A lifecycle promotion is in flight: frames keep
-                        # queueing (FIFO), nothing dispatches until the
-                        # workers acknowledge the new generation.
-                        self._wakeup.wait(0.05)
-                        continue
-                    now = self._clock()
-                    if len(self._batcher) and (self._closed or self._batcher.ready(now)):
-                        break
-                    deadline = self._batcher.deadline()
-                    wait = None if deadline is None else max(0.0, deadline - now)
-                    self._wakeup.wait(wait)
-                reason = "drain" if self._closed else self._batcher.flush_reason(
-                    self._clock()
-                )
-                batch = self._batcher.take()
-            self._dispatch_batch(batch, reason)
-
-    def _dispatch_batch(self, batch: List[FrameRequest], reason: str) -> None:
-        requests = [
-            request
-            for request in batch
-            if request.future.set_running_or_notify_cancel()
-        ]
-        cancelled = len(batch) - len(requests)
-        if cancelled:
-            self.stats.record_cancelled(cancelled)
-        if not requests:
-            return
+    def _handle_batch(self, requests: List[FrameRequest], reason: str) -> None:
+        """Stage a taken batch in a free ring slot and queue it for a worker."""
         with self._lock:
-            while not self._free_slots and self._broken is None:
+            # While a lifecycle promotion is in flight the batch is held and
+            # later frames keep queueing (FIFO) until the workers acknowledge
+            # the new generation; a closing pool dispatches regardless.
+            while self._broken is None and (
+                not self._free_slots or (self._dispatch_paused and not self._closed)
+            ):
                 self._wakeup.wait(0.05)
-            if self._broken is not None:
-                failed = requests
-            else:
-                failed = None
+            broken = self._broken
+            if broken is None:
                 slot = self._free_slots.pop()
                 task_id = self._next_task_id
                 self._next_task_id += 1
                 chaos = self._pending_chaos
                 self._pending_chaos = None
-                task = _Task(requests, slot, len(requests), reason, self._clock())
+                task = _Task(requests, slot, reason)
                 self._outstanding[task_id] = task
-        if failed is not None:
-            exc = WorkerCrashError(f"the worker pool is broken: {self._broken}")
-            for request in failed:
-                if not request.future.done():
-                    request.future.set_exception(exc)
-            self.stats.record_batch(len(failed), reason, (), failed=True)
+        if broken is not None:
+            self._fail(
+                requests, WorkerCrashError(f"the worker pool is broken: {broken}"), reason
+            )
             return
         frames = np.vstack([request.frame for request in requests])
         self._ring.write(slot, frames)
-        self._task_queue.put(("batch", task_id, slot, len(requests), chaos))
+        self._task_queue.put(task.message(task_id, chaos))
 
     # ------------------------------------------------------------------
     # collector / supervisor
@@ -607,22 +498,17 @@ class WorkerPool:
                             return
                 continue
             kind = message[0]
-            if kind == "ready":
-                _, worker_id, pid, names, generation = message
-                with self._lock:
-                    # The boot generation is an implicit reload ack: a worker
-                    # spawned after an artefact swap loaded the new files.
-                    self._reload_acks[worker_id] = int(generation)
-                    self._wakeup.notify_all()
-                _LOG.info("worker %d ready (pid=%d, monitors=%s)", worker_id, pid, names)
-            elif kind == "reloaded":
-                _, worker_id, generation = message
+            if kind in ("ready", "reloaded"):
+                # Both carry the generation the worker now serves; the boot
+                # generation is an implicit reload ack (a worker spawned
+                # after an artefact swap loaded the new files).
+                worker_id, generation = message[1], int(message[-1])
                 with self._lock:
                     self._reload_acks[worker_id] = max(
-                        self._reload_acks.get(worker_id, 0), int(generation)
+                        self._reload_acks.get(worker_id, -1), generation
                     )
                     self._wakeup.notify_all()
-                _LOG.info("worker %d reloaded (generation=%d)", worker_id, generation)
+                _LOG.info("worker %d %s (generation=%d)", worker_id, kind, generation)
             elif kind == "claim":
                 _, task_id, worker_id = message
                 requeue = None
@@ -635,8 +521,7 @@ class WorkerPool:
                             # The claimer died (and may already be reaped)
                             # before we read its claim: re-queue here, since
                             # the reap path can no longer see the claim.
-                            task = self._outstanding[task_id]
-                            requeue = ("batch", task_id, task.slot, task.nrows, None)
+                            requeue = self._outstanding[task_id].message(task_id)
                 if requeue is not None:
                     self._task_queue.put(requeue)
             elif kind == "done":
@@ -656,116 +541,83 @@ class WorkerPool:
         if task is None:  # late duplicate after a re-queue race
             return
         if error is not None:
-            for request in task.requests:
-                if not request.future.done():
-                    request.future.set_exception(error)
-            self.stats.record_batch(len(task.requests), task.reason, (), failed=True)
+            self._fail(task.requests, error, task.reason)
             return
         warns = {
             name: np.frombuffer(raw, dtype=np.uint8).astype(bool)
             for name, raw in packed.items()
         }
-        done = self._clock()
-        latencies = []
-        for row, request in enumerate(task.requests):
-            result = FrameResult(
-                warns={name: bool(flags[row]) for name, flags in warns.items()}
-            )
-            request.future.set_result(result)
-            latencies.append(done - request.enqueued_at)
-        self.stats.record_batch(len(task.requests), task.reason, latencies, failed=False)
+        results = [
+            FrameResult(warns={name: bool(flags[row]) for name, flags in warns.items()})
+            for row in range(len(task.requests))
+        ]
+        self._resolve(task.requests, results, task.reason)
 
     def _check_workers(self) -> None:
-        """Reap dead workers: re-queue their claimed tasks, spawn spares."""
-        dead: List[int] = []
+        """Reap dead workers: re-queue their in-flight tasks, spawn spares."""
         with self._lock:
             if self._stopping:
                 return
-            for worker_id, process in list(self._workers.items()):
-                if not process.is_alive():
-                    dead.append(worker_id)
-            requeue: List[tuple] = []
-            requeued_ids = set()
-            for worker_id in dead:
-                process = self._workers.pop(worker_id)
+            dead = {
+                worker_id: process
+                for worker_id, process in self._workers.items()
+                if not process.is_alive()
+            }
+            if not dead:
+                return
+            for worker_id, process in dead.items():
+                del self._workers[worker_id]
                 process.join()
-                lost = [
-                    task_id
-                    for task_id, claimer in self._claims.items()
-                    if claimer == worker_id
-                ]
-                for task_id in lost:
-                    del self._claims[task_id]
-                    task = self._outstanding[task_id]
-                    # The slot still holds the frames; re-dispatch the same
-                    # coordinates with any chaos marker stripped.
-                    requeue.append(("batch", task_id, task.slot, task.nrows, None))
-                    requeued_ids.add(task_id)
-                _LOG.warning(
-                    "worker %d died (exitcode=%s); re-queued %d claimed batch(es)",
-                    worker_id,
-                    process.exitcode,
-                    len(lost),
-                )
-            if dead:
-                # A worker that dies between consuming a task and its claim
-                # reaching us leaves the task outstanding but unclaimed — an
-                # abrupt exit can drop the result queue's feeder buffer, so
-                # the claim itself is not a delivery guarantee.  We cannot
-                # tell which consumer died, so re-queue every unclaimed
-                # outstanding task; if a live worker had it after all, the
-                # duplicate is scored twice and the second "done" is ignored.
-                unclaimed = [
-                    (task_id, task)
-                    for task_id, task in self._outstanding.items()
-                    if task_id not in self._claims and task_id not in requeued_ids
-                ]
-                for task_id, task in unclaimed:
-                    requeue.append(("batch", task_id, task.slot, task.nrows, None))
-                if unclaimed:
-                    _LOG.warning(
-                        "re-queued %d unclaimed in-flight batch(es)", len(unclaimed)
-                    )
+                _LOG.warning("worker %d died (exitcode=%s)", worker_id, process.exitcode)
+            # Tasks the dead workers claimed are re-dispatched: the slot still
+            # holds the frames, and the re-queued coordinates carry no chaos
+            # marker.  A worker that dies between consuming a task and its
+            # claim reaching us leaves the task outstanding but unclaimed — an
+            # abrupt exit can drop the result queue's feeder buffer, so the
+            # claim itself is not a delivery guarantee.  We cannot tell which
+            # consumer died, so every unclaimed outstanding task is re-queued
+            # too; if a live worker had it after all, the duplicate is scored
+            # twice and the second "done" is ignored.
+            self._claims = {
+                task_id: claimer
+                for task_id, claimer in self._claims.items()
+                if claimer not in dead
+            }
+            requeue = [
+                task.message(task_id)
+                for task_id, task in self._outstanding.items()
+                if task_id not in self._claims
+            ]
             replacements = 0
-            if dead and not self._closed:
-                while (
-                    len(self._workers) < self.num_workers_requested
-                    and self._restarts < self.max_restarts
-                ):
-                    self._spawn_worker()
-                    self._restarts += 1
-                    replacements += 1
-            if dead and not self._workers and replacements == 0:
+            while (
+                not self._closed
+                and len(self._workers) < self.num_workers_requested
+                and self._restarts < self.max_restarts
+            ):
+                self._spawn_worker()
+                self._restarts += 1
+                replacements += 1
+            broken, doomed, pending = None, [], []
+            if not self._workers and replacements == 0:
                 # Restart budget exhausted with nobody left to score.
-                self._broken = WorkerCrashError(
+                broken = self._broken = WorkerCrashError(
                     f"all workers died and the restart budget ({self.max_restarts}) "
                     "is exhausted"
                 )
-                broken = self._broken
                 doomed = list(self._outstanding.values())
                 self._outstanding.clear()
                 self._claims.clear()
-                for task in doomed:
-                    self._free_slots.add(task.slot)
-                pending: List[FrameRequest] = []
-                for batch in self._batcher.drain():
-                    pending.extend(batch)
+                self._free_slots.update(task.slot for task in doomed)
+                pending = [request for batch in self._batcher.drain() for request in batch]
                 self._wakeup.notify_all()
-            else:
-                broken = None
-                doomed = []
-                pending = []
+        if requeue:
+            _LOG.warning("re-queued %d in-flight batch(es)", len(requeue))
         for item in requeue:
             self._task_queue.put(item)
         if replacements:
             _LOG.warning("spawned %d replacement worker(s)", replacements)
         if broken is not None:
             for task in doomed:
-                for request in task.requests:
-                    if not request.future.done():
-                        request.future.set_exception(broken)
-                self.stats.record_batch(len(task.requests), task.reason, (), failed=True)
-            cancelled = sum(1 for request in pending if request.future.cancel())
-            if cancelled:
-                self.stats.record_cancelled(cancelled)
+                self._fail(task.requests, broken, task.reason)
+            self._cancel(pending)
             _LOG.error("pool broken: %s", broken)

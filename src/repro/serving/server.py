@@ -219,8 +219,9 @@ class ScoringServer:
     Parameters
     ----------
     scorer:
-        Any object with the streaming submit surface (``submit_many`` →
-        per-frame futures, ``stats.snapshot()``, ``close(drain=...)``).
+        A :class:`~repro.service.streaming.Frontend`: a
+        :class:`~repro.service.StreamingScorer` or a
+        :class:`~repro.serving.pool.WorkerPool`.
     host / port:
         Bind address; port ``0`` picks a free ephemeral port (read it back
         from :attr:`address`).
@@ -295,9 +296,7 @@ class ScoringServer:
         snapshot = dict(self.scorer.stats.snapshot())
         snapshot["server_requests"] = self._served_requests
         snapshot["server_frames"] = self._served_frames
-        describe = getattr(self.scorer, "describe", None)
-        if callable(describe):
-            snapshot["scorer"] = describe()
+        snapshot["scorer"] = self.scorer.describe()
         if self.lifecycle is not None:
             snapshot["lifecycle"] = self.lifecycle.status()
         return snapshot

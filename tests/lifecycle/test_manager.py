@@ -1,5 +1,7 @@
 """LifecycleManager: the shadow → candidate → live → retired state machine."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,35 @@ def test_promote_flips_served_verdicts(
     assert after == candidate_monitor.warn_batch(probe_frames).tolist()
 
 
+def test_promote_refuses_to_swap_when_the_scorer_does_not_quiesce(
+    manager, scorer, store, tiny_network, candidate_monitor, probe_frames
+):
+    # A private copy of the live version whose scoring blocks until released
+    # keeps one batch in flight, so the promotion barrier cannot drain.
+    release = threading.Event()
+    served = store.load("mon", 1, tiny_network)
+    score = served.warn_batch_from_layer
+
+    def blocking_warn_batch_from_layer(activations):
+        release.wait(30)
+        return score(activations)
+
+    served.warn_batch_from_layer = blocking_warn_batch_from_layer
+    scorer.replace("mon", served, version=1)
+    manager.stage("mon", candidate_monitor, shadow=False)
+    future = scorer.submit(probe_frames[0])
+    try:
+        with pytest.raises(LifecycleStateError):
+            manager.promote("mon", timeout=0.1)
+        assert store.live_version("mon") == 1
+        assert scorer.registry.get("mon") is served
+    finally:
+        release.set()
+    assert future.result(30).warns["mon"] == bool(
+        served.warn_batch(probe_frames[:1])[0]
+    )
+
+
 def test_clear_moves_shadow_to_candidate(manager, scorer, candidate_monitor, probe_frames):
     manager.stage("mon", candidate_monitor, min_frames=4)
     drain(scorer, probe_frames)
@@ -125,6 +156,16 @@ def test_watch_breach_rolls_back_automatically(
     assert served == live_monitor.warn_batch(probe_frames).tolist()
     kinds = [e["kind"] for e in scorer.stats.snapshot()["events"]]
     assert "watch_breach" in kinds and "rollback" in kinds
+
+
+def test_rollback_tolerates_a_watch_detached_behind_its_back(
+    manager, scorer, candidate_monitor
+):
+    manager.stage("mon", candidate_monitor, shadow=False)
+    manager.promote("mon", guard=False, watch_budget=0.5, watch_frames=4)
+    scorer.detach_shadow("mon@watch-v1")
+    assert manager.rollback("mon") == 1
+    assert manager.live_version("mon") == 1
 
 
 def test_refit_and_stage_archives_a_refit_version(

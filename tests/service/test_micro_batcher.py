@@ -51,6 +51,12 @@ class TestFlushOnSize:
         # Far before the latency deadline: size alone triggers the flush.
         assert batcher.ready(now=0.3)
 
+    def test_full_batch_flushes_for_size(self):
+        batcher = MicroBatcher(BatchPolicy(max_batch=2, max_latency=10.0))
+        batcher.append(_request(0.0))
+        batcher.append(_request(0.0))
+        assert batcher.flush_reason(now=0.0) == "size"
+
     def test_take_pops_oldest_first_and_caps_at_max_batch(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=3, max_latency=10.0))
         for t in range(5):
@@ -75,6 +81,11 @@ class TestFlushOnDeadline:
         assert not batcher.ready(now=1.49)
         assert batcher.ready(now=1.5)
         assert batcher.ready(now=99.0)
+
+    def test_partial_batch_flushes_for_deadline(self):
+        batcher = MicroBatcher(BatchPolicy(max_batch=100, max_latency=0.5))
+        batcher.append(_request(1.0))
+        assert batcher.flush_reason(now=1.5) == "deadline"
 
     def test_zero_latency_flushes_immediately(self):
         batcher = MicroBatcher(BatchPolicy(max_batch=100, max_latency=0.0))

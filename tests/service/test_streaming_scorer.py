@@ -31,6 +31,17 @@ def _scorer(network, monitors, **policy_kwargs) -> StreamingScorer:
     return scorer
 
 
+def _assert_every_frame_accounted(stats) -> None:
+    """After close, each submitted frame was scored, failed or cancelled."""
+    assert stats.in_flight() == 0
+    snapshot = stats.snapshot()
+    assert snapshot["frames_submitted"] == (
+        snapshot["frames_scored"]
+        + snapshot["frames_failed"]
+        + snapshot["frames_cancelled"]
+    )
+
+
 class TestLifecycle:
     def test_submit_requires_running_worker(self, tiny_network, fitted_monitors):
         scorer = _scorer(tiny_network, fitted_monitors)
@@ -103,6 +114,7 @@ class TestFlushTriggers:
         stats = scorer.stats.snapshot()
         assert stats["frames_scored"] == probe_frames.shape[0]
         assert stats["flush_reasons"]["drain"] >= 1
+        _assert_every_frame_accounted(scorer.stats)
 
     def test_close_without_drain_cancels_pending(
         self, tiny_network, fitted_monitors, probe_frames
@@ -116,6 +128,7 @@ class TestFlushTriggers:
         cancelled = [future for future in futures if future.cancelled()]
         assert len(cancelled) == stats["frames_cancelled"]
         assert len(cancelled) >= 1
+        _assert_every_frame_accounted(scorer.stats)
 
 
 class TestResults:

@@ -81,6 +81,17 @@ class TestAdaptiveBatcher:
         assert batcher.flush_reason(100.02) == "deadline"
 
 
+def _assert_every_frame_accounted(stats) -> None:
+    """After close, each submitted frame was scored, failed or cancelled."""
+    assert stats.in_flight() == 0
+    snapshot = stats.snapshot()
+    assert snapshot["frames_submitted"] == (
+        snapshot["frames_scored"]
+        + snapshot["frames_failed"]
+        + snapshot["frames_cancelled"]
+    )
+
+
 def wait_for(predicate, timeout=30.0, interval=0.05):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -192,6 +203,8 @@ class TestWorkerPoolRecovery:
             # the pool keeps scoring normally after the restart
             again = [f.result(60) for f in pool.submit_many(probe[:5])]
             assert len(again) == 5
+        _assert_every_frame_accounted(pool.stats)
+        assert pool.stats.snapshot()["frames_scored"] == 29
 
     def test_restart_budget_exhaustion_breaks_the_pool(
         self, deployment_bundle, rng
@@ -246,6 +259,8 @@ class TestWorkerPoolShutdown:
         np.testing.assert_array_equal(
             remote, serving_monitors["boolean"].warn_batch(probe)
         )
+        _assert_every_frame_accounted(pool.stats)
+        assert pool.stats.snapshot()["frames_scored"] == 20
         # no child processes survive close() — the CI leg's hard assertion
         assert wait_for(lambda: not multiprocessing.active_children(), timeout=10)
         # and the shared-memory segment is gone
@@ -267,7 +282,8 @@ class TestWorkerPoolShutdown:
         futures = pool.submit_many(rng.normal(size=(6, 6)))
         pool.close(drain=False, timeout=120)
         assert all(future.cancelled() for future in futures)
-        assert pool.stats.snapshot()["frames_cancelled"] >= 6
+        assert pool.stats.snapshot()["frames_cancelled"] == 6
+        _assert_every_frame_accounted(pool.stats)
 
     def test_submit_after_close_raises(self, deployment_bundle, rng):
         pool = WorkerPool(deployment_bundle, num_workers=1)

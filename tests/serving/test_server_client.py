@@ -27,6 +27,15 @@ from repro.serving import (
 )
 
 
+def _closed_address():
+    """A loopback address nothing listens on (bound, then released)."""
+    probe = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    probe.bind(("127.0.0.1", 0))
+    address = probe.getsockname()
+    probe.close()
+    return address
+
+
 @pytest.fixture
 def server(local_scorer):
     with ScoringServer(local_scorer) as running:
@@ -184,6 +193,11 @@ class TestReconnect:
         with pytest.raises(RemoteScoringError):
             client.score(np.ones((1, 6)))
 
+    def test_dialing_a_closed_port_raises_typed_error(self):
+        with pytest.raises(RemoteScoringError) as info:
+            ScoringClient(_closed_address(), timeout=5).connect()
+        assert isinstance(info.value.__cause__, OSError)
+
     def test_closed_client_refuses_requests(self, server):
         client = ScoringClient(server.address)
         client.connect()
@@ -212,6 +226,18 @@ class TestAsyncClient:
         expected = monitor.warn_batch(probe_frames)
         for warns in all_warns:
             np.testing.assert_array_equal(warns["minmax"], expected)
+
+    def test_dialing_a_closed_port_raises_typed_error(self):
+        import asyncio
+
+        from repro.serving import AsyncScoringClient
+
+        async def run():
+            await AsyncScoringClient(_closed_address()).connect()
+
+        with pytest.raises(RemoteScoringError) as info:
+            asyncio.run(run())
+        assert isinstance(info.value.__cause__, OSError)
 
     def test_stats(self, server):
         import asyncio
