@@ -11,6 +11,11 @@ the CI perf-regression gate with the *effective* back-end annotated
 (``compiled`` silently degrades to ``numpy`` without numba; the JSON entry
 must say which engine actually ran).
 
+A second pair of cases times the code-range tier alone, on plans shaped
+like a robust interval monitor's: 2-bit codes over 16 positions with ≈215
+stored ranges (the benchmark network's robust interval plan) and a wide
+2048-range variant that fills 32 words of the bit-sliced range index.
+
 On the numba CI leg the fused kernel must beat the broadcast reference by
 ≥3× on the wide-layer case — the acceptance bar of the back-end registry
 work; without numba that assertion is skipped, never silently weakened.
@@ -22,7 +27,7 @@ import numpy as np
 import pytest
 
 from repro.eval.reporting import format_table
-from repro.runtime import PackedMatcher
+from repro.runtime import PackedMatcher, WordCodec
 from repro.runtime.codec import PatternCodec
 from repro.runtime.kernels import HAVE_NUMBA, matcher_backends, resolve_matcher_backend
 
@@ -36,8 +41,14 @@ CASES = [
     ("wide", 256 if QUICK else 640, 96 if QUICK else 384, 256, 512 if QUICK else 4096),
 ]
 
+#: (name, positions, bits per position, range patterns, probe rows)
+RANGE_CASES = [
+    ("range", 16, 2, 215, 512 if QUICK else 4096),
+    ("range_wide", 16, 2, 2048, 512 if QUICK else 4096),
+]
+
 #: Repeat counts keep one timing sample well above timer resolution.
-INNER = {"narrow": 4, "wide": 2}
+INNER = {"narrow": 4, "wide": 2, "range": 32, "range_wide": 16}
 
 
 def build_case(num_positions: int, num_ternary: int, num_exact: int, num_probes: int):
@@ -59,6 +70,48 @@ def build_case(num_positions: int, num_ternary: int, num_exact: int, num_probes:
     return make_matcher, codec.word_codec.pack_codes(probes)
 
 
+def build_range_case(num_positions: int, bits: int, num_ranges: int, num_probes: int):
+    """A robust-interval-shaped plan: per-position code ranges only."""
+    rng = np.random.default_rng(num_ranges)
+    codec = WordCodec(num_positions, bits)
+    top = (1 << bits) - 1
+    low = rng.integers(0, top + 1, size=(num_ranges, num_positions))
+    high = np.minimum(low + rng.integers(0, 2, size=low.shape), top)
+    codes = rng.integers(0, top + 1, size=(num_probes, num_positions))
+    codes[: num_ranges // 4] = low[: num_ranges // 4]  # guaranteed hits
+
+    def make_matcher(backend):
+        matcher = PackedMatcher(codec, backend=backend)
+        matcher.add_code_ranges(low, high)
+        return matcher
+
+    return make_matcher, codec.pack_codes(codes), codes
+
+
+def time_backends(bench_record, rows, case_name, make_matcher, query, **attrs):
+    """Time ``query(matcher)`` on every back-end; returns the shared verdicts."""
+    reference = None
+    for backend in BACKENDS:
+        matcher = make_matcher(backend)
+        # Warm up outside the timer: first-call JIT compilation (numba
+        # leg) and lazy plan consolidation are one-time costs.
+        hits = query(matcher)
+        if reference is None:
+            reference = hits
+        else:
+            np.testing.assert_array_equal(hits, reference)
+        key = f"matcher_{case_name}_{backend}"
+        bench_record.measure(
+            key, lambda m=matcher: query(m), repeats=3, inner=INNER[case_name]
+        )
+        effective = resolve_matcher_backend(backend).effective_name
+        bench_record.annotate(key, backend=backend, effective=effective, **attrs)
+        rows.append(
+            [case_name, backend, effective, f"{bench_record.timings[key] * 1e3:.3f} ms"]
+        )
+    return reference
+
+
 @pytest.mark.benchmark(group="E12-matcher-kernels")
 def test_matcher_kernel_backends(bench_record):
     rows = []
@@ -66,40 +119,41 @@ def test_matcher_kernel_backends(bench_record):
         make_matcher, probes = build_case(
             num_positions, num_ternary, num_exact, num_probes
         )
-        reference = None
-        for backend in BACKENDS:
-            matcher = make_matcher(backend)
-            # Warm up outside the timer: first-call JIT compilation (numba
-            # leg) and lazy plan consolidation are one-time costs.
-            hits = matcher.contains_packed(probes)
-            if reference is None:
-                reference = hits
-            else:
-                np.testing.assert_array_equal(hits, reference)
-            key = f"matcher_{case_name}_{backend}"
-            bench_record.measure(
-                key,
-                lambda m=matcher: m.contains_packed(probes),
-                repeats=3,
-                inner=INNER[case_name],
-            )
-            bench_record.annotate(
-                key,
-                backend=backend,
-                effective=resolve_matcher_backend(backend).effective_name,
-                positions=num_positions,
-                patterns=num_ternary + num_exact,
-                probes=num_probes,
-            )
-            rows.append(
-                [
-                    case_name,
-                    backend,
-                    resolve_matcher_backend(backend).effective_name,
-                    f"{bench_record.timings[key] * 1e3:.3f} ms",
-                ]
-            )
+        reference = time_backends(
+            bench_record,
+            rows,
+            case_name,
+            make_matcher,
+            lambda m: m.contains_packed(probes),
+            positions=num_positions,
+            patterns=num_ternary + num_exact,
+            probes=num_probes,
+        )
         assert reference is not None and reference[: num_exact // 4].all()
+    print()
+    print(format_table(["case", "backend", "effective", "time/query"], rows))
+
+
+@pytest.mark.benchmark(group="E12-matcher-kernels")
+def test_matcher_range_tier(bench_record):
+    """The code-range tier alone, probes handed over with their codes."""
+    rows = []
+    for case_name, num_positions, bits, num_ranges, num_probes in RANGE_CASES:
+        make_matcher, probes, codes = build_range_case(
+            num_positions, bits, num_ranges, num_probes
+        )
+        reference = time_backends(
+            bench_record,
+            rows,
+            case_name,
+            make_matcher,
+            lambda m: m.contains_packed(probes, codes=codes),
+            positions=num_positions,
+            bits=bits,
+            patterns=num_ranges,
+            probes=num_probes,
+        )
+        assert reference is not None and reference[: num_ranges // 4].all()
     print()
     print(format_table(["case", "backend", "effective", "time/query"], rows))
 

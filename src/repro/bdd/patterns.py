@@ -21,7 +21,7 @@ word order (bit 0 of neuron 0 first), matching the paper's example encoding
 ``(¬b10) ∧ (b20 ∨ b21) ∧ …``.  The **packed mirror**
 (:class:`~repro.runtime.matcher.PackedMatcher`) stores the same patterns as
 flat NumPy structures and answers :meth:`PatternSet.contains_batch` with a
-few broadcast kernels instead of one BDD walk per row.  Every insertion API
+few vectorised kernels instead of one BDD walk per row.  Every insertion API
 updates both; if a pattern ever cannot be mirrored exactly (a non-contiguous
 admissible code set), the mirror degrades to a sound pre-filter and batched
 queries fall back to the BDD for unresolved rows.
@@ -537,10 +537,10 @@ class PatternSet:
     def contains_batch(self, words: np.ndarray) -> np.ndarray:
         """Vectorised membership of a ``(N, num_positions)`` code matrix.
 
-        Answered from the packed mirror (hash set + ternary/range broadcast
-        kernels); rows the mirror cannot settle — only possible after a
-        non-contiguous :meth:`add_code_sets` — fall back to one BDD
-        evaluation each.  Agrees with :meth:`contains` row by row.
+        Answered from the packed mirror (exact rows, ternary planes and the
+        bit-sliced range index); rows the mirror cannot settle — only
+        possible after a non-contiguous :meth:`add_code_sets` — fall back
+        to one BDD evaluation each.  Agrees with :meth:`contains` row by row.
         """
         words = self._validate_code_matrix(words)
         if words.shape[0] == 0:

@@ -8,8 +8,9 @@ queried by :class:`~repro.runtime.matcher.PackedMatcher` at dispatch time.
 Built-in back-ends
 ------------------
 ``numpy``
-    The reference broadcast implementation (always available, always the
-    equivalence oracle).
+    The reference NumPy implementation (always available, always the
+    equivalence oracle): sorted ``isin`` for exact rows, a ternary
+    broadcast, and word ANDs over the bit-sliced range index.
 ``compiled``
     A numba-jitted fused pass — exact binary search, ternary
     compare-popcount and code ranges in one ``prange`` loop per probe, no

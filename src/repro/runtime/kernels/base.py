@@ -4,9 +4,10 @@ A :class:`MatchPlan` is the immutable, consolidated image of a
 :class:`~repro.runtime.matcher.PackedMatcher` at query time — the exact-row
 matrix (row-lexicographically sorted, so compiled back-ends can binary
 search it), the ternary value/mask bit-planes and the per-position code
-ranges, next to the :class:`~repro.runtime.codec.WordCodec` that defines
-the bit layout.  A :class:`MatcherKernel` turns a plan plus a probe batch
-into the boolean membership vector.
+ranges with their bit-sliced index, next to the
+:class:`~repro.runtime.codec.WordCodec` that defines the bit layout.  A
+:class:`MatcherKernel` turns a plan plus a probe batch into the boolean
+membership vector.
 
 The base class implements the reference *miss-refinement* schedule — exact
 rows first (cheapest per probe), then ternary planes on the remaining
@@ -45,6 +46,14 @@ class MatchPlan:
     type.  Probe rows and plan rows share the packing of
     :mod:`repro.runtime.packing`: padding bits of the last machine word are
     always zero, so whole-word compares are exact for any bit width.
+
+    ``range_index`` is the bit-sliced index of the code ranges (see
+    :func:`repro.runtime.matcher.range_index`): a ``(P, 2**b, ⌈R/64⌉)``
+    ``uint64`` table whose bit ``r`` of ``[p, c]`` is set iff range entry
+    ``r`` admits code ``c`` at position ``p``.  The range pass answers from
+    it with ``P`` gathers and ``P·⌈R/64⌉`` word ANDs per probe, so a batch
+    costs ``O(N·P·⌈R/64⌉)``.  The index is derived from ``range_low`` /
+    ``range_high`` by the matcher and never persisted.
     """
 
     word_codec: WordCodec
@@ -52,6 +61,7 @@ class MatchPlan:
     ternary: Optional[TernaryPlanes] = None
     range_low: Optional[np.ndarray] = None
     range_high: Optional[np.ndarray] = None
+    range_index: Optional[np.ndarray] = None
 
     @property
     def is_empty(self) -> bool:
@@ -100,10 +110,10 @@ class MatcherKernel:
             hits[misses] = self.match_ternary(
                 packed[misses], plan.ternary.values, plan.ternary.masks
             )
-        if plan.range_low is not None and not np.all(hits):
+        if plan.range_index is not None and not np.all(hits):
             misses = np.nonzero(~hits)[0]
             probe_codes = plan.probe_codes(packed, codes)[misses]
-            hits[misses] = self.match_ranges(probe_codes, plan.range_low, plan.range_high)
+            hits[misses] = self.match_ranges(probe_codes, plan.range_index)
         return hits
 
     # ------------------------------------------------------------------
@@ -117,9 +127,7 @@ class MatcherKernel:
     ) -> np.ndarray:
         raise NotImplementedError
 
-    def match_ranges(
-        self, probe_codes: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
+    def match_ranges(self, probe_codes: np.ndarray, index: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     # ------------------------------------------------------------------

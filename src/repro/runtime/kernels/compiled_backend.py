@@ -198,23 +198,7 @@ class CompiledMatcherKernel(MatcherKernel):
         )
         return hits
 
-    def match_ranges(
-        self, probe_codes: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        if self._fallback is not None:
-            return self._fallback.match_ranges(probe_codes, low, high)
-        hits = np.zeros(probe_codes.shape[0], dtype=bool)
-        if low.shape[0] == 0 or probe_codes.shape[0] == 0:
-            return hits
-        empty = np.zeros((0, 1), dtype=np.uint64)
-        _fused_match(
-            np.zeros((probe_codes.shape[0], 1), dtype=np.uint64),
-            empty,
-            empty,
-            empty,
-            np.ascontiguousarray(probe_codes, dtype=np.int64),
-            np.ascontiguousarray(low, dtype=np.int64),
-            np.ascontiguousarray(high, dtype=np.int64),
-            hits,
-        )
-        return hits
+    def match_ranges(self, probe_codes: np.ndarray, index: np.ndarray) -> np.ndarray:
+        # The bit-sliced index pass is already word-parallel NumPy; the fused
+        # loop above keeps scanning low/high only when it runs whole.
+        return NumpyMatcherKernel.match_ranges(self, probe_codes, index)

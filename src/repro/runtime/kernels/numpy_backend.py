@@ -1,12 +1,13 @@
-"""Reference matcher kernel: pure-NumPy broadcast passes.
+"""Reference matcher kernel: pure-NumPy passes.
 
 This is the vectorised path :class:`~repro.runtime.matcher.PackedMatcher`
-has always executed, extracted behind the :class:`MatcherKernel` interface
-so other back-ends can be pinned bit-for-bit against it.  Exact rows are
-matched with one sort-based ``np.isin`` over byte views (no Python loop
-over probes, unlike the historical per-row hash lookup); ternary and range
-passes are the broadcast kernels of PR 1, chunked so the intermediate
-``(n, M, W)`` buffers stay inside a fixed element budget.
+executes by default, behind the :class:`MatcherKernel` interface so other
+back-ends can be pinned bit-for-bit against it.  Exact rows are matched
+with one sort-based ``np.isin`` over byte views; the ternary pass is a
+broadcast over ``(n, T, W)`` mismatch words; the range pass gathers rows of
+the plan's bit-sliced range index and AND-reduces them over positions.
+Every pass is chunked along the probe axis so its intermediate buffer stays
+inside a fixed element budget.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .base import MatcherKernel
 
 __all__ = ["NumpyMatcherKernel", "CHUNK_ELEMENTS"]
 
-#: Soft cap on broadcast buffer elements; probe batches are chunked to this.
+#: Soft cap on intermediate buffer elements; probe batches are chunked to this.
 CHUNK_ELEMENTS = 1 << 22
 
 
@@ -53,18 +54,19 @@ class NumpyMatcherKernel(MatcherKernel):
             out[start : start + chunk] = np.logical_not(mismatch.any(axis=2)).any(axis=1)
         return out
 
-    def match_ranges(
-        self, probe_codes: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        num_entries, num_positions = low.shape
+    def match_ranges(self, probe_codes: np.ndarray, index: np.ndarray) -> np.ndarray:
+        num_positions, num_codes, num_words = index.shape
         out = np.zeros(probe_codes.shape[0], dtype=bool)
-        if num_entries == 0:
-            return out
-        chunk = max(1, CHUNK_ELEMENTS // max(1, num_entries * num_positions))
+        # Row ``p * num_codes + c`` of the flat table is the bitset B[p, c].
+        table = index.reshape(num_positions * num_codes, num_words)
+        offsets = np.arange(num_positions, dtype=np.int64) * num_codes
+        chunk = max(1, CHUNK_ELEMENTS // (num_positions * num_words))
         for start in range(0, probe_codes.shape[0], chunk):
-            block = probe_codes[start : start + chunk]
-            inside = (block[:, None, :] >= low[None, :, :]) & (
-                block[:, None, :] <= high[None, :, :]
+            rows = (probe_codes[start : start + chunk] + offsets).T
+            # Position-major gather: the AND over positions then runs over
+            # contiguous (n, ⌈R/64⌉) slabs.
+            gathered = np.take(table, rows.ravel(), axis=0).reshape(
+                num_positions, rows.shape[1], num_words
             )
-            out[start : start + chunk] = inside.all(axis=2).any(axis=1)
+            out[start : start + chunk] = np.bitwise_and.reduce(gathered, axis=0).any(axis=1)
         return out

@@ -120,7 +120,5 @@ class ShardedMatcherKernel(MatcherKernel):
     ) -> np.ndarray:
         return self.inner.match_ternary(probes, values, masks)
 
-    def match_ranges(
-        self, probe_codes: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> np.ndarray:
-        return self.inner.match_ranges(probe_codes, low, high)
+    def match_ranges(self, probe_codes: np.ndarray, index: np.ndarray) -> np.ndarray:
+        return self.inner.match_ranges(probe_codes, index)
