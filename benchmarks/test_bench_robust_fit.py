@@ -21,11 +21,8 @@ import pytest
 from repro.eval.reporting import format_table
 from repro.monitors.boolean import RobustBooleanPatternMonitor
 from repro.monitors.minmax import RobustMinMaxMonitor
-from repro.monitors.perturbation import (
-    PerturbationSpec,
-    collect_bound_arrays,
-    collect_bound_arrays_loop,
-)
+from repro.monitors.perturbation import PerturbationSpec, collect_bound_arrays
+from tests.reference.symbolic import collect_bound_arrays_loop
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 

@@ -1,8 +1,8 @@
 """E15 — star-LP bound queries: per-row seed loop vs batched tiers.
 
 The star back-end answered every bound query with ``2·d`` independent
-``scipy.optimize.linprog`` calls per row (the seed loop, kept as
-:func:`repro.symbolic.propagation._star_bounds_loop`).  The batched path
+``scipy.optimize.linprog`` calls per row (the seed loop, kept as the
+oracle :func:`tests.reference.symbolic.star_bounds_loop`).  The batched path
 walks all rows in lockstep and answers each layer's queries through the
 star-LP back-ends (:mod:`repro.symbolic.star_lp`): closed form while the
 predicate polytopes are hypercubes, block-stacked sparse HiGHS programs
@@ -22,11 +22,9 @@ import pytest
 
 from repro.eval.reporting import format_table
 from repro.symbolic.batched import BatchedBox
-from repro.symbolic.propagation import (
-    _star_bounds_loop,
-    perturbation_bounds_batch,
-)
+from repro.symbolic.propagation import perturbation_bounds_batch
 from repro.symbolic.star_lp import ShardedStarLPBackend, StackedStarLPBackend
+from tests.reference.symbolic import star_bounds_loop
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") == "1"
 
@@ -78,7 +76,7 @@ def test_star_bounds_loop_vs_batched(bench_record, relu_star_network, star_input
         inputs = star_inputs[:size]
         batched_box = BatchedBox(inputs - DELTA, inputs + DELTA)
         loop_time = _time_once(
-            lambda: _star_bounds_loop(network, batched_box, 0, to_layer)
+            lambda: star_bounds_loop(network, batched_box, 0, to_layer)
         )
         prefix = "" if size == GATE_SIZE else "_"
         name = f"{prefix}star_lp_stacked_n{size}"

@@ -161,11 +161,6 @@ class BDDManager:
         cache[key] = result
         return result
 
-    def _cofactors(self, ref: int, var: int) -> Tuple[int, int]:
-        if self._var[ref] == var:
-            return self._low[ref], self._high[ref]
-        return ref, ref
-
     # ------------------------------------------------------------------
     # derived Boolean operations
     # ------------------------------------------------------------------

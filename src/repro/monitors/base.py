@@ -233,10 +233,6 @@ class ActivationMonitor:
             )
         return layer_activations[:, self.neuron_indices]
 
-    def _select(self, low: np.ndarray, high: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-        """Restrict per-neuron bounds to the monitored neuron subset."""
-        return low[self.neuron_indices], high[self.neuron_indices]
-
     # ------------------------------------------------------------------
     # API to be implemented by subclasses
     # ------------------------------------------------------------------

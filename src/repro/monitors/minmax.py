@@ -82,8 +82,9 @@ class MinMaxMonitor(ActivationMonitor):
         """
         self._require_fitted()
         features = self.features(inputs)
-        self.lower = np.minimum(self.lower, features.min(axis=0))
-        self.upper = np.maximum(self.upper, features.max(axis=0))
+        # The identities keep an empty batch a no-op, as in the other families.
+        self.lower = np.minimum(self.lower, features.min(axis=0, initial=np.inf))
+        self.upper = np.maximum(self.upper, features.max(axis=0, initial=-np.inf))
         self._num_training_samples += int(features.shape[0])
         return self
 
@@ -184,8 +185,8 @@ class RobustMinMaxMonitor(MinMaxMonitor):
         self._require_fitted()
         inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
         lows, highs = self._bound_arrays(inputs)
-        np.minimum(self.lower, lows.min(axis=0), out=self.lower)
-        np.maximum(self.upper, highs.max(axis=0), out=self.upper)
+        np.minimum(self.lower, lows.min(axis=0, initial=np.inf), out=self.lower)
+        np.maximum(self.upper, highs.max(axis=0, initial=-np.inf), out=self.upper)
         self._num_training_samples += int(inputs.shape[0])
         return self
 

@@ -14,8 +14,8 @@ a data set through the batched symbolic back-ends
 (:func:`repro.symbolic.propagation.perturbation_bounds_batch`) — one
 propagation for the whole set, no per-sample Python loop for the box and
 zonotope back-ends.  This is the inner loop of every robust monitor's
-``fit``.  :func:`collect_bound_arrays_loop` keeps the original one-row-at-a-
-time path as an executable reference for equivalence tests and benchmarks.
+``fit``.  The original one-row-at-a-time path is kept only as a test and
+benchmark oracle in ``tests/reference/symbolic.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..exceptions import ConfigurationError
 from ..nn.network import Sequential
 from ..symbolic.interval import Box
 from ..symbolic.propagation import (
-    PROPAGATION_METHODS,
+    _check_method,
     perturbation_bounds,
     perturbation_bounds_batch,
 )
@@ -40,7 +40,6 @@ __all__ = [
     "perturbation_estimates",
     "collect_estimates",
     "collect_bound_arrays",
-    "collect_bound_arrays_loop",
 ]
 
 
@@ -57,11 +56,7 @@ class PerturbationSpec:
             raise ConfigurationError("perturbation delta must be non-negative")
         if self.layer < 0:
             raise ConfigurationError("perturbation layer k_p must be non-negative")
-        if self.method not in PROPAGATION_METHODS:
-            raise ConfigurationError(
-                f"unknown propagation method '{self.method}'; choose one of "
-                f"{PROPAGATION_METHODS}"
-            )
+        _check_method(self.method)
 
     @property
     def is_trivial(self) -> bool:
@@ -89,11 +84,6 @@ def perturbation_estimate(
     feature vector of every input whose layer-``k_p`` representation is within
     ``Δ`` (infinity norm) of that of ``input_vector``.
     """
-    if spec.layer >= monitored_layer:
-        raise ConfigurationError(
-            f"perturbation layer k_p={spec.layer} must be strictly before the "
-            f"monitored layer k={monitored_layer}"
-        )
     return perturbation_bounds(
         network,
         input_vector,
@@ -185,35 +175,3 @@ def collect_bound_arrays(
         anchors=anchors,
         star_lp_backend=star_lp_backend,
     )
-
-
-def collect_bound_arrays_loop(
-    network: Sequential,
-    inputs: np.ndarray,
-    monitored_layer: int,
-    spec: PerturbationSpec,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Reference implementation: one symbolic propagation per input row.
-
-    Semantically identical to :func:`collect_bound_arrays` but pays one full
-    abstract-domain walk per sample.  Kept as the ground truth the batched
-    path is pinned against (``tests/symbolic/test_batched.py``,
-    ``tests/monitors/test_robust_fit_batched.py``) and as the baseline the
-    robust-fit benchmark measures its speedup over.
-    """
-    if spec.layer >= monitored_layer:
-        raise ConfigurationError(
-            f"perturbation layer k_p={spec.layer} must be strictly before the "
-            f"monitored layer k={monitored_layer}"
-        )
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    if spec.is_trivial:
-        features = np.atleast_2d(network.forward_to(monitored_layer, inputs))
-        return features, np.array(features, copy=True)
-    lows: List[np.ndarray] = []
-    highs: List[np.ndarray] = []
-    for row in inputs:
-        estimate = perturbation_estimate(network, row, monitored_layer, spec)
-        lows.append(np.atleast_1d(estimate.low))
-        highs.append(np.atleast_1d(estimate.high))
-    return np.vstack(lows), np.vstack(highs)

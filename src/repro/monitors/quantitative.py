@@ -128,12 +128,6 @@ class PatternDistanceMonitor:
         if not self.monitor.is_fitted:
             raise NotFittedError("the wrapped pattern monitor has not been fitted")
 
-    def _observed_word(self, input_vector: np.ndarray) -> Sequence[int]:
-        feature = self.monitor.features(input_vector)[0]
-        if isinstance(self.monitor, BooleanPatternMonitor):
-            return self.monitor._word(feature)
-        return self.monitor._codes(feature)
-
     def _distance_limit(self) -> int:
         if self.max_distance is None:
             return self.monitor.num_monitored_neurons

@@ -12,7 +12,8 @@ This package is the shared substrate under every monitor family:
 * :mod:`repro.runtime.kernels` — pluggable matcher execution back-ends
   (``numpy`` reference, numba-``compiled`` fused pass, ``sharded``
   thread-pool driver) behind a ``matcher_backends()`` registry, selected
-  per matcher or via ``REPRO_MATCHER_BACKEND``;
+  per matcher or via ``REPRO_MATCHER_BACKEND`` (the registry is one
+  :class:`repro._backends.Registry`, shared with the star-LP tiers);
 * :mod:`repro.runtime.engine` — batched scoring with a per-layer activation
   cache so monitors sharing a network share forward passes.
 

@@ -18,13 +18,11 @@ wide layers and large batches.
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
 
+from ..._backends import run_sharded, shard_spans
 from .base import MatcherKernel, MatchPlan
 from .compiled_backend import HAVE_NUMBA, CompiledMatcherKernel
 from .numpy_backend import NumpyMatcherKernel
@@ -33,21 +31,6 @@ __all__ = ["ShardedMatcherKernel", "DEFAULT_MIN_SHARD_ROWS"]
 
 #: Below twice this many probe rows the pool is skipped entirely.
 DEFAULT_MIN_SHARD_ROWS = 1024
-
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ThreadPoolExecutor] = None
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    """Lazily created process-wide pool shared by every sharded kernel."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            workers = min(8, os.cpu_count() or 1)
-            _POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-matcher-shard"
-            )
-        return _POOL
 
 
 class ShardedMatcherKernel(MatcherKernel):
@@ -81,12 +64,6 @@ class ShardedMatcherKernel(MatcherKernel):
         return info
 
     # ------------------------------------------------------------------
-    def _num_shards(self, num_probes: int) -> int:
-        workers = self.max_workers
-        if workers is None:
-            workers = min(8, os.cpu_count() or 1)
-        return max(1, min(workers, num_probes // self.min_shard_rows))
-
     def match(
         self,
         plan: MatchPlan,
@@ -96,20 +73,15 @@ class ShardedMatcherKernel(MatcherKernel):
         num_probes = packed.shape[0]
         if num_probes == 0 or plan.is_empty:
             return np.zeros(num_probes, dtype=bool)
-        num_shards = self._num_shards(num_probes)
-        if num_shards == 1:
+        spans = shard_spans(num_probes, self.min_shard_rows, self.max_workers)
+        if len(spans) == 1:
             return self.inner.match(plan, packed, codes=codes)
-        bounds = np.linspace(0, num_probes, num_shards + 1, dtype=np.int64)
 
         def run(start: int, stop: int) -> np.ndarray:
             shard_codes = codes[start:stop] if codes is not None else None
             return self.inner.match(plan, packed[start:stop], codes=shard_codes)
 
-        pool = _shared_pool()
-        futures = [
-            pool.submit(run, int(bounds[s]), int(bounds[s + 1])) for s in range(num_shards)
-        ]
-        return np.concatenate([future.result() for future in futures])
+        return np.concatenate(run_sharded("repro-matcher-shard", spans, run))
 
     # Per-structure passes simply delegate (the chunking win lives in match).
     def match_exact(self, probes: np.ndarray, exact: np.ndarray) -> np.ndarray:

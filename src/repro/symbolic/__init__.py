@@ -15,10 +15,13 @@ path robust monitor fits use to estimate whole training sets in one
 propagation.
 
 The star back-end's LP bound queries are themselves pluggable behind
-:func:`~repro.symbolic.star_lp.star_lp_backends` (closed-form hypercube
-tier, block-stacked sparse HiGHS solves, thread-sharded solves), selected
-per call, per :class:`~repro.symbolic.star.StarSet`, or via the
-``REPRO_STAR_LP_BACKEND`` environment variable.
+:func:`~repro.symbolic.star_lp.star_lp_backends` (``stacked``: closed-form
+hypercube tier plus block-stacked sparse HiGHS solves; ``sharded``: the
+same solves on a thread pool), selected per call, per
+:class:`~repro.symbolic.star.StarSet`, or via the
+``REPRO_STAR_LP_BACKEND`` environment variable.  The seed per-row,
+per-dimension LP walks are not part of the package: they live as test
+oracles in ``tests/reference/symbolic.py``.
 """
 
 from .batched import BatchedBox, BatchedZonotope
@@ -38,7 +41,6 @@ from .star import StarSet
 from .star_lp import (
     DEFAULT_STAR_LP_BACKEND,
     STAR_LP_BACKEND_ENV,
-    LoopStarLPBackend,
     ShardedStarLPBackend,
     StackedStarLPBackend,
     StarLPBackend,
@@ -65,7 +67,6 @@ __all__ = [
     "perturbation_bounds_batch",
     "propagation_backends",
     "StarLPBackend",
-    "LoopStarLPBackend",
     "StackedStarLPBackend",
     "ShardedStarLPBackend",
     "STAR_LP_BACKEND_ENV",

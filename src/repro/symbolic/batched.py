@@ -138,12 +138,6 @@ class BatchedBox:
         new_lows, new_highs = bound_transform(self.lows, self.highs)
         return BatchedBox(new_lows, new_highs)
 
-    def scale_shift(self, scale: float, shift: float) -> "BatchedBox":
-        """Image under the fixed rescaling ``x * scale + shift``."""
-        a = self.lows * scale + shift
-        b = self.highs * scale + shift
-        return BatchedBox(np.minimum(a, b), np.maximum(a, b))
-
     # ------------------------------------------------------------------
     def contains_points(self, points: np.ndarray, tolerance: float = 1e-9) -> np.ndarray:
         """Row-wise membership: does ``points[i]`` lie inside box ``i``?"""
@@ -297,10 +291,6 @@ class BatchedZonotope:
         lows, highs = self.bounds()
         new_lows, new_highs = bound_transform(lows, highs)
         return BatchedZonotope.from_batched_box(BatchedBox(new_lows, new_highs))
-
-    def scale_shift(self, scale: float, shift: float) -> "BatchedZonotope":
-        """Image under the fixed rescaling ``x * scale + shift``."""
-        return BatchedZonotope(self.centers * scale + shift, self.generators * scale)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

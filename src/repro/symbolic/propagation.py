@@ -23,8 +23,11 @@ Two API levels are offered:
   through one :mod:`~repro.symbolic.star_lp` back-end call — closed form
   (zero LPs) while predicate polytopes are still hypercubes, block-stacked
   sparse HiGHS solves (optionally thread-sharded) once ReLUs go unstable.
-  The seed one-row-at-a-time star walk is kept as :func:`_star_bounds_loop`,
-  the reference the batched path is pinned against.
+  The seed one-row-at-a-time star walk the batched path is pinned against
+  is a test oracle in ``tests/reference/symbolic.py``.
+
+The three methods are a closed set with no factory, instance or environment
+variable, so they sit in a plain mapping rather than a back-end registry.
 
 The batched level is what robust monitor construction uses
 (:func:`repro.monitors.perturbation.collect_bound_arrays`); row ``i`` of a
@@ -93,8 +96,14 @@ def _propagate_geometric(
     abstract,
     from_layer: int,
     to_layer: int,
-) -> "Zonotope | StarSet":
-    """Shared layer walk for the zonotope and star back-ends."""
+):
+    """The one layer walk of the zonotope and star back-ends.
+
+    ``abstract`` is any element with ``affine`` / ``relu`` /
+    ``elementwise_monotone`` and a ``dimension``: a single
+    :class:`Zonotope` or :class:`StarSet`, a :class:`BatchedZonotope`, or
+    the lockstep stars of :func:`_propagate_star_batch`.
+    """
     for layer in network.layers[from_layer:to_layer]:
         if isinstance(layer, Dense):
             abstract = abstract.affine(layer.weights, layer.bias)
@@ -163,35 +172,6 @@ def _check_method(method: str) -> None:
         )
 
 
-def _propagate_zonotope_batch_walk(
-    network: Sequential,
-    batched_box: BatchedBox,
-    from_layer: int,
-    to_layer: int,
-) -> BatchedZonotope:
-    """Batched layer walk of the zonotope back-end (mirrors the single walk)."""
-    abstract = BatchedZonotope.from_batched_box(batched_box)
-    for layer in network.layers[from_layer:to_layer]:
-        if isinstance(layer, Dense):
-            abstract = abstract.affine(layer.weights, layer.bias)
-        elif isinstance(layer, ActivationLayer):
-            if isinstance(layer.activation, ReLU):
-                abstract = abstract.relu()
-            else:
-                abstract = abstract.elementwise_monotone(
-                    layer.activation.bound_transform
-                )
-        elif isinstance(layer, (Dropout, Flatten)):
-            continue
-        elif isinstance(layer, Scale):
-            abstract = abstract.scale_shift(layer.scale, layer.shift)
-        else:
-            raise PropagationError(
-                f"layer type {type(layer).__name__} has no geometric propagation rule"
-            )
-    return abstract
-
-
 def _zonotope_rows_per_chunk(network: Sequential, from_layer: int, to_layer: int) -> int:
     """Rows per chunk keeping one generator tensor under the element budget.
 
@@ -227,8 +207,8 @@ def _propagate_zonotope_batch(
     batch = batched_box.batch_size
     rows = _zonotope_rows_per_chunk(network, from_layer, to_layer)
     if rows >= batch:
-        return _propagate_zonotope_batch_walk(
-            network, batched_box, from_layer, to_layer
+        return _propagate_geometric(
+            network, BatchedZonotope.from_batched_box(batched_box), from_layer, to_layer
         ).bounds()
     out_dim = network.layer_output_dim(to_layer)
     lows = np.empty((batch, out_dim))
@@ -236,8 +216,8 @@ def _propagate_zonotope_batch(
     for start in range(0, batch, rows):
         stop = min(start + rows, batch)
         chunk = BatchedBox(batched_box.lows[start:stop], batched_box.highs[start:stop])
-        lows[start:stop], highs[start:stop] = _propagate_zonotope_batch_walk(
-            network, chunk, from_layer, to_layer
+        lows[start:stop], highs[start:stop] = _propagate_geometric(
+            network, BatchedZonotope.from_batched_box(chunk), from_layer, to_layer
         ).bounds()
     return lows, highs
 
@@ -262,73 +242,50 @@ def _propagate_star_batch(
     closed-form tier, to LP tolerance on the stacked tier).
     """
     backend = resolve_star_lp_backend(star_lp_backend)
-    stars = [
-        StarSet.from_box(Box(*batched_box.row(index)), lp_backend=backend)
-        for index in range(batched_box.batch_size)
-    ]
-    for layer in network.layers[from_layer:to_layer]:
-        if isinstance(layer, Dense):
-            stars = [star.affine(layer.weights, layer.bias) for star in stars]
-        elif isinstance(layer, ActivationLayer):
-            lows, highs = backend.bounds_many(stars)
-            if isinstance(layer.activation, ReLU):
-                stars = [
-                    star.relu(bounds=(lows[index], highs[index]))
-                    for index, star in enumerate(stars)
-                ]
-            else:
-                transform = layer.activation.bound_transform
-                stars = [
-                    star.elementwise_monotone(
-                        transform, bounds=(lows[index], highs[index])
-                    )
-                    for index, star in enumerate(stars)
-                ]
-        elif isinstance(layer, (Dropout, Flatten)):
-            continue
-        elif isinstance(layer, Scale):
-            dimension = stars[0].dimension if stars else 0
-            weights = np.eye(dimension) * layer.scale
-            bias = np.full(dimension, layer.shift)
-            stars = [star.affine(weights, bias) for star in stars]
-        else:
-            raise PropagationError(
-                f"layer type {type(layer).__name__} has no geometric propagation rule"
-            )
-    return backend.bounds_many(stars)
+    if batched_box.batch_size == 0:
+        out_dim = network.layer_output_dim(to_layer)
+        return np.zeros((0, out_dim)), np.zeros((0, out_dim))
+    stars = _LockstepStars(
+        [
+            StarSet.from_box(Box(*batched_box.row(index)), lp_backend=backend)
+            for index in range(batched_box.batch_size)
+        ],
+        backend,
+    )
+    return backend.bounds_many(_propagate_geometric(network, stars, from_layer, to_layer).stars)
 
 
-def _star_bounds_loop(
-    network: Sequential,
-    batched_box: BatchedBox,
-    from_layer: int,
-    to_layer: int,
-    star_lp_backend="loop",
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Seed reference: the star back-end walked one row at a time.
+class _LockstepStars:
+    """One star per row, advanced through :func:`_propagate_geometric` together.
 
-    Each row runs its own full symbolic walk and answers its bound queries
-    through ``star_lp_backend`` — by default the ``loop`` back-end, i.e. the
-    original ``2·d``-LPs-per-query path.  Kept as the ground truth the
-    lockstep :func:`_propagate_star_batch` is pinned against (exact on
-    hypercube stars when given a closed-form-capable back-end, LP-tolerance
-    otherwise) and as the baseline the E15 benchmark measures against.
+    The bound queries of every row at an activation layer go to the star-LP
+    back-end in one :meth:`~repro.symbolic.star_lp.StarLPBackend.bounds_many`
+    call instead of one dispatch per row.
     """
-    backend = resolve_star_lp_backend(star_lp_backend)
-    batch = batched_box.batch_size
-    out_dim = network.layer_output_dim(to_layer)
-    lows = np.empty((batch, out_dim))
-    highs = np.empty((batch, out_dim))
-    for index in range(batch):
-        low, high = batched_box.row(index)
-        star = _propagate_geometric(
-            network,
-            StarSet.from_box(Box(low, high), lp_backend=backend),
-            from_layer,
-            to_layer,
+
+    def __init__(self, stars, backend) -> None:
+        self.stars = stars
+        self.backend = backend
+
+    @property
+    def dimension(self) -> int:
+        return self.stars[0].dimension
+
+    def affine(self, weights: np.ndarray, bias: np.ndarray) -> "_LockstepStars":
+        return _LockstepStars([star.affine(weights, bias) for star in self.stars], self.backend)
+
+    def relu(self) -> "_LockstepStars":
+        return self._with_bounds(lambda star, bounds: star.relu(bounds=bounds))
+
+    def elementwise_monotone(self, transform) -> "_LockstepStars":
+        return self._with_bounds(
+            lambda star, bounds: star.elementwise_monotone(transform, bounds=bounds)
         )
-        lows[index], highs[index] = star.bounds()
-    return lows, highs
+
+    def _with_bounds(self, step) -> "_LockstepStars":
+        lows, highs = self.backend.bounds_many(self.stars)
+        stars = [step(star, (low, high)) for star, low, high in zip(self.stars, lows, highs)]
+        return _LockstepStars(stars, self.backend)
 
 
 def propagate_bounds_batch(

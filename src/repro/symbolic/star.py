@@ -14,7 +14,8 @@ over the predicate polytope.  How those LPs are answered is pluggable
 hypercube the bounds have an exact closed form (no LP at all), and
 genuinely constrained stars batch their ``2·d`` objectives into
 block-stacked sparse HiGHS solves instead of one ``scipy.optimize.linprog``
-call per dimension.
+call per dimension.  That seed per-dimension walk is kept only as the test
+oracle in ``tests/reference/symbolic.py``.
 
 ReLU layers are handled with the sound single-star over-approximation (the
 triangle relaxation applied per neuron, introducing one fresh predicate
@@ -30,7 +31,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from ..exceptions import PropagationError, ShapeError
+from ..exceptions import ShapeError
 from .interval import Box
 from .star_lp import resolve_star_lp_backend
 
@@ -132,52 +133,15 @@ class StarSet:
         """
         return self._hypercube_domain
 
-    def _dimension_bound(self, direction: np.ndarray, maximise: bool) -> float:
-        """LP bound of ``direction . x`` over the star (x = c + V^T alpha)."""
-        offset = float(direction @ self.center)
-        if self.num_predicates == 0:
-            return offset
-        coefficients = self.basis @ direction
-        sign = -1.0 if maximise else 1.0
-        result = linprog(
-            sign * coefficients,
-            A_ub=self.constraints_a,
-            b_ub=self.constraints_b,
-            bounds=[(None, None)] * self.num_predicates,
-            method="highs",
-        )
-        if not result.success:
-            raise PropagationError(
-                f"LP bound query failed: {result.message} (status {result.status})"
-            )
-        value = float(coefficients @ result.x)
-        return offset + value
-
     def bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """Exact per-dimension lower/upper bounds through the LP back-end.
 
         Dispatches to this star's :mod:`~repro.symbolic.star_lp` back-end:
         closed form (zero LPs) on a hypercube predicate domain, block-stacked
         HiGHS solves otherwise.  Semantically identical to the seed
-        per-dimension walk kept in :meth:`_bounds_loop`.
+        per-dimension walk, kept as a test oracle in ``tests/reference``.
         """
         return resolve_star_lp_backend(self.lp_backend).bounds(self)
-
-    def _bounds_loop(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Seed reference: one dense LP per dimension per sense (``2·d`` calls).
-
-        This is the original bound walk, preserved verbatim as the ground
-        truth the registered back-ends are pinned against (and as the body
-        of the ``loop`` back-end).
-        """
-        low = np.empty(self.dimension)
-        high = np.empty(self.dimension)
-        for j in range(self.dimension):
-            direction = np.zeros(self.dimension)
-            direction[j] = 1.0
-            low[j] = self._dimension_bound(direction, maximise=False)
-            high[j] = self._dimension_bound(direction, maximise=True)
-        return low, high
 
     def to_box(self) -> Box:
         low, high = self.bounds()

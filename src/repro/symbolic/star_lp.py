@@ -4,15 +4,11 @@ The star domain answers every per-dimension bound query with a linear
 program over the star's predicate polytope.  The seed implementation
 entered ``scipy.optimize.linprog`` once per dimension per sense — ``2·d``
 Python round-trips into the solver for every star, which is why the star
-back-end trailed the fully vectorised box/zonotope paths by ~25×.  This
-module makes the bound machinery pluggable the same way matcher kernels
-(:func:`repro.runtime.kernels.matcher_backends`) and propagation domains
-(:func:`repro.symbolic.propagation.propagation_backends`) are pluggable,
-with three built-in tiers:
-
-``loop``
-    The seed reference: one dense ``linprog`` call per dimension per sense.
-    Kept as the ground truth every other back-end is pinned against.
+back-end trailed the fully vectorised box/zonotope paths by ~25×.  That
+per-dimension walk now lives only as a test oracle
+(``tests/reference/symbolic.py``); this module holds the production tiers
+behind one :class:`repro._backends.Registry`, the same registry class as
+the matcher kernels (:func:`repro.runtime.kernels.matcher_backends`):
 
 ``stacked``
     Two fast paths.  (1) *Closed form*: while the predicate polytope is
@@ -43,20 +39,18 @@ the valid :func:`star_lp_backends` keys.
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
+from .._backends import Registry, run_sharded, shard_spans
 from ..exceptions import ConfigurationError, PropagationError
 
 __all__ = [
     "StarLPBackend",
-    "LoopStarLPBackend",
     "StackedStarLPBackend",
     "ShardedStarLPBackend",
     "STAR_LP_BACKEND_ENV",
@@ -125,25 +119,6 @@ class StarLPBackend:
             np.empty((len(stars), dimension)),
             np.empty((len(stars), dimension)),
         )
-
-
-class LoopStarLPBackend(StarLPBackend):
-    """The seed per-dimension walk: ``2·d`` dense ``linprog`` calls per star.
-
-    Deliberately unoptimised — no closed form, no stacking — so it stays an
-    executable reference of the original semantics for equivalence tests
-    and the benchmark baseline.
-    """
-
-    name = "loop"
-
-    def bounds_many(self, stars: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        if not stars:
-            return np.zeros((0, 0)), np.zeros((0, 0))
-        lows, highs = self._output_arrays(stars)
-        for index, star in enumerate(stars):
-            lows[index], highs[index] = star._bounds_loop()
-        return lows, highs
 
 
 class StackedStarLPBackend(StarLPBackend):
@@ -326,22 +301,6 @@ class StackedStarLPBackend(StarLPBackend):
         self._count(lp_programs=1, lp_objectives=len(meta))
 
 
-_POOL_LOCK = threading.Lock()
-_POOL: Optional[ThreadPoolExecutor] = None
-
-
-def _shared_pool() -> ThreadPoolExecutor:
-    """Lazily created process-wide pool shared by every sharded back-end."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            workers = min(8, os.cpu_count() or 1)
-            _POOL = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-star-lp-shard"
-            )
-        return _POOL
-
-
 class ShardedStarLPBackend(StarLPBackend):
     """Stacked solves driven from a shared thread pool, chunked over stars.
 
@@ -378,106 +337,31 @@ class ShardedStarLPBackend(StarLPBackend):
         info["inner"] = self.inner.describe()
         return info
 
-    def _num_shards(self, num_constrained: int) -> int:
-        workers = self.max_workers
-        if workers is None:
-            workers = min(8, os.cpu_count() or 1)
-        return max(1, min(workers, num_constrained // self.min_shard_stars))
-
     def bounds_many(self, stars: Sequence) -> Tuple[np.ndarray, np.ndarray]:
-        if not stars:
-            return np.zeros((0, 0)), np.zeros((0, 0))
         constrained = [i for i, star in enumerate(stars) if _needs_lp(star)]
-        num_shards = self._num_shards(len(constrained))
-        if num_shards == 1:
+        spans = shard_spans(len(constrained), self.min_shard_stars, self.max_workers)
+        if len(spans) == 1:
             return self.inner.bounds_many(stars)
         lows, highs = self._output_arrays(stars)
         closed = [i for i, star in enumerate(stars) if not _needs_lp(star)]
         if closed:
             self.inner._closed_form(stars, closed, lows, highs)
         # Shards write disjoint row sets of the shared output matrices.
-        bounds = np.linspace(0, len(constrained), num_shards + 1, dtype=np.int64)
-        pool = _shared_pool()
-        futures = [
-            pool.submit(
-                self.inner._lp_bounds,
-                stars,
-                constrained[int(bounds[s]) : int(bounds[s + 1])],
-                lows,
-                highs,
-            )
-            for s in range(num_shards)
-        ]
-        for future in futures:
-            future.result()
+        run_sharded(
+            "repro-star-lp-shard",
+            spans,
+            lambda start, stop: self.inner._lp_bounds(stars, constrained[start:stop], lows, highs),
+        )
         return lows, highs
 
 
-BackendChoice = Union[None, str, StarLPBackend]
+STAR_LP_REGISTRY: "Registry[StarLPBackend]" = Registry(
+    "star-LP", StarLPBackend, STAR_LP_BACKEND_ENV, DEFAULT_STAR_LP_BACKEND
+)
+register_star_lp_backend = STAR_LP_REGISTRY.register
+unregister_star_lp_backend = STAR_LP_REGISTRY.unregister
+star_lp_backends = STAR_LP_REGISTRY.names
+resolve_star_lp_backend = STAR_LP_REGISTRY.resolve
 
-_BACKENDS: Dict[str, Callable[[], StarLPBackend]] = {}
-#: One shared instance per registry name (back-ends are stateless apart
-#: from attribution counters, and ``sharded`` deliberately shares its pool).
-_INSTANCES: Dict[str, StarLPBackend] = {}
-
-
-def register_star_lp_backend(name: str, factory: Callable[[], StarLPBackend]) -> None:
-    """Register (or replace) a star-LP back-end under ``name``.
-
-    ``factory`` is a zero-argument callable returning a
-    :class:`StarLPBackend`; it is invoked once and the instance reused for
-    every star set that selects ``name``.
-    """
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError("star-LP back-end name must be a non-empty string")
-    if not callable(factory):
-        raise ConfigurationError(f"star-LP back-end '{name}' factory is not callable")
-    _BACKENDS[name] = factory
-    _INSTANCES.pop(name, None)
-
-
-def unregister_star_lp_backend(name: str) -> None:
-    """Remove a back-end from the registry (built-ins may be re-registered)."""
-    _BACKENDS.pop(name, None)
-    _INSTANCES.pop(name, None)
-
-
-def star_lp_backends() -> Dict[str, Callable[[], StarLPBackend]]:
-    """Mapping of registered back-end name to factory (a copy)."""
-    return dict(_BACKENDS)
-
-
-def resolve_star_lp_backend(choice: BackendChoice = None) -> StarLPBackend:
-    """Turn a back-end choice into a ready back-end instance.
-
-    ``choice`` may be a back-end instance (returned as-is), a registry
-    name, or ``None`` — which reads ``REPRO_STAR_LP_BACKEND`` and falls
-    back to the ``stacked`` default.  Unknown names raise a
-    :class:`~repro.exceptions.ConfigurationError` (a ``ValueError``)
-    listing the valid :func:`star_lp_backends` keys.
-    """
-    if isinstance(choice, StarLPBackend):
-        return choice
-    name = choice
-    if name is None:
-        name = os.environ.get(STAR_LP_BACKEND_ENV, "").strip() or DEFAULT_STAR_LP_BACKEND
-    if name not in _BACKENDS:
-        valid = ", ".join(sorted(_BACKENDS))
-        raise ConfigurationError(
-            f"unknown star-LP backend '{name}'; valid backends are: {valid}"
-        )
-    instance = _INSTANCES.get(name)
-    if instance is None:
-        instance = _BACKENDS[name]()
-        if not isinstance(instance, StarLPBackend):
-            raise ConfigurationError(
-                f"star-LP backend '{name}' factory returned "
-                f"{type(instance).__name__}, not a StarLPBackend"
-            )
-        _INSTANCES[name] = instance
-    return instance
-
-
-register_star_lp_backend("loop", LoopStarLPBackend)
 register_star_lp_backend("stacked", StackedStarLPBackend)
 register_star_lp_backend("sharded", ShardedStarLPBackend)

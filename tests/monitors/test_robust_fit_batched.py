@@ -5,7 +5,7 @@ family must produce *identical* abstractions whether its perturbation
 estimates come from the batched back-ends
 (:func:`~repro.monitors.perturbation.collect_bound_arrays`) or from the
 original one-row-at-a-time reference
-(:func:`~repro.monitors.perturbation.collect_bound_arrays_loop`).  Pattern
+(:func:`tests.reference.symbolic.collect_bound_arrays_loop`).  Pattern
 monitors are compared word-for-word (the codec's scale-relative tolerance
 absorbs the sub-ulp differences of batched BLAS kernels); the min-max
 envelope is compared at a float-round-off tolerance.
@@ -21,12 +21,9 @@ from repro.monitors.boolean import RobustBooleanPatternMonitor
 from repro.monitors.builder import ClassConditionalMonitor, MonitorBuilder
 from repro.monitors.interval import RobustIntervalPatternMonitor
 from repro.monitors.minmax import RobustMinMaxMonitor
-from repro.monitors.perturbation import (
-    PerturbationSpec,
-    collect_bound_arrays,
-    collect_bound_arrays_loop,
-)
+from repro.monitors.perturbation import PerturbationSpec, collect_bound_arrays
 from repro.runtime.engine import BatchScoringEngine
+from tests.reference.symbolic import collect_bound_arrays_loop
 
 MONITORED_LAYER = 4
 DELTA = 0.05

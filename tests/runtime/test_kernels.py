@@ -7,7 +7,9 @@ from repro.exceptions import ConfigurationError
 from repro.runtime import PackedMatcher, WordCodec
 from repro.runtime.codec import PatternCodec, TernaryPlanes
 from repro.runtime.kernels import (
+    DEFAULT_MATCHER_BACKEND,
     MATCHER_BACKEND_ENV,
+    MATCHER_REGISTRY,
     CompiledMatcherKernel,
     MatcherKernel,
     NumpyMatcherKernel,
@@ -18,6 +20,7 @@ from repro.runtime.kernels import (
     unregister_matcher_backend,
 )
 from repro.runtime.packing import full_mask_words, tail_word_mask, words_for_bits
+from tests.registry_contract import RegistryContract
 
 BACKENDS = sorted(matcher_backends())
 
@@ -41,22 +44,18 @@ class CountingKernel(NumpyMatcherKernel):
 # ----------------------------------------------------------------------
 # registry + selection
 # ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert {"numpy", "compiled", "sharded"} <= set(matcher_backends())
-
-    def test_resolve_reuses_instances(self):
-        assert resolve_matcher_backend("numpy") is resolve_matcher_backend("numpy")
-
-    def test_resolve_passes_instances_through(self):
-        kernel = NumpyMatcherKernel()
-        assert resolve_matcher_backend(kernel) is kernel
-
-    def test_unknown_backend_is_value_error_listing_choices(self):
-        with pytest.raises(ValueError, match="valid backends are") as excinfo:
-            resolve_matcher_backend("zontope")
-        for name in matcher_backends():
-            assert name in str(excinfo.value)
+class TestRegistry(RegistryContract):
+    registry = MATCHER_REGISTRY
+    public = (
+        register_matcher_backend,
+        unregister_matcher_backend,
+        matcher_backends,
+        resolve_matcher_backend,
+        MATCHER_BACKEND_ENV,
+        DEFAULT_MATCHER_BACKEND,
+    )
+    builtins = {"numpy", "compiled", "sharded"}
+    alternative = ("sharded", ShardedMatcherKernel)
 
     def test_unknown_backend_surfaces_on_first_nonempty_query(self, one_bit_probes):
         codec, probes, words = one_bit_probes
@@ -75,7 +74,7 @@ class TestRegistry:
         assert matcher.backend_name == "sharded"
         assert matcher.contains_codes(words).all()
 
-    def test_register_and_unregister_custom_backend(self, one_bit_probes):
+    def test_registered_kernel_serves_packed_matcher(self, one_bit_probes):
         codec, probes, words = one_bit_probes
         spy = CountingKernel()
         register_matcher_backend("counting", lambda: spy)
@@ -88,18 +87,6 @@ class TestRegistry:
             unregister_matcher_backend("counting")
         with pytest.raises(ValueError):
             resolve_matcher_backend("counting")
-
-    def test_bad_registrations_rejected(self):
-        with pytest.raises(ConfigurationError):
-            register_matcher_backend("", NumpyMatcherKernel)
-        with pytest.raises(ConfigurationError):
-            register_matcher_backend("broken", "not-a-factory")
-        register_matcher_backend("broken", lambda: object())
-        try:
-            with pytest.raises(ConfigurationError, match="not a MatcherKernel"):
-                resolve_matcher_backend("broken")
-        finally:
-            unregister_matcher_backend("broken")
 
     def test_compiled_backend_reports_fallback_honestly(self):
         kernel = resolve_matcher_backend("compiled")

@@ -292,6 +292,15 @@ def test_anchor_row_count_mismatch_raises(relu_network, rng):
         )
 
 
+@pytest.mark.parametrize("method", ["box", "zonotope", "star"])
+def test_empty_batch_keeps_the_output_width(relu_network, method):
+    lows, highs = perturbation_bounds_batch(
+        relu_network, np.zeros((0, 6)), 4, 0, 0.05, method
+    )
+    width = relu_network.layer_output_dim(4)
+    assert lows.shape == highs.shape == (0, width)
+
+
 # ----------------------------------------------------------------------
 # Property-based soundness: batched bounds contain concrete perturbations
 # ----------------------------------------------------------------------

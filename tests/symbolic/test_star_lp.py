@@ -2,8 +2,8 @@
 
 The contract under test: every registered star-LP back-end answers the
 same bound queries as the seed per-dimension loop
-(:class:`~repro.symbolic.star_lp.LoopStarLPBackend`, reachable through
-:func:`~repro.symbolic.propagation._star_bounds_loop`) — bit-identically
+(:class:`tests.reference.symbolic.LoopStarLPBackend`, walked per row by
+:func:`tests.reference.symbolic.star_bounds_loop`) — bit-identically
 while the predicate polytopes are hypercubes (closed-form tier), and
 within LP tolerance once unstable ReLUs constrain them.  On top of the
 pinned equivalence, bounds must stay sound (contain sampled perturbed
@@ -22,15 +22,12 @@ from repro.exceptions import ConfigurationError
 from repro.nn.network import mlp
 from repro.symbolic.batched import BatchedBox
 from repro.symbolic.interval import Box
-from repro.symbolic.propagation import (
-    _star_bounds_loop,
-    perturbation_bounds_batch,
-)
+from repro.symbolic.propagation import perturbation_bounds_batch
 from repro.symbolic.star import StarSet
 from repro.symbolic.star_lp import (
     DEFAULT_STAR_LP_BACKEND,
     STAR_LP_BACKEND_ENV,
-    LoopStarLPBackend,
+    STAR_LP_REGISTRY,
     ShardedStarLPBackend,
     StackedStarLPBackend,
     register_star_lp_backend,
@@ -38,6 +35,8 @@ from repro.symbolic.star_lp import (
     star_lp_backends,
     unregister_star_lp_backend,
 )
+from tests.reference.symbolic import LoopStarLPBackend, bounds_loop, star_bounds_loop
+from tests.registry_contract import RegistryContract
 
 #: LP-tier agreement bound (ISSUE acceptance: within 1e-6 of the seed loop).
 LP_ATOL = 1e-6
@@ -54,68 +53,34 @@ def forced_sharding_backend():
 
 
 TIER_CONFIGS = [
-    ("loop", lambda: "loop"),
+    ("loop", lambda: LoopStarLPBackend()),
     ("stacked", lambda: "stacked"),
     ("sharded", lambda: "sharded"),
     ("forced-sharding", forced_sharding_backend),
 ]
 
 
-class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert {"loop", "stacked", "sharded"} <= set(star_lp_backends())
+class TestRegistry(RegistryContract):
+    registry = STAR_LP_REGISTRY
+    public = (
+        register_star_lp_backend,
+        unregister_star_lp_backend,
+        star_lp_backends,
+        resolve_star_lp_backend,
+        STAR_LP_BACKEND_ENV,
+        DEFAULT_STAR_LP_BACKEND,
+    )
+    builtins = {"stacked", "sharded"}
+    alternative = ("sharded", ShardedStarLPBackend)
 
-    def test_unknown_name_raises_value_error_listing_backends(self):
-        with pytest.raises(ValueError) as excinfo:
-            resolve_star_lp_backend("no-such-backend")
-        message = str(excinfo.value)
-        assert "no-such-backend" in message
-        for name in star_lp_backends():
-            assert name in message
+    def test_loop_is_no_longer_a_backend(self, monkeypatch):
+        import repro.symbolic
 
-    def test_unknown_name_is_configuration_error(self):
-        with pytest.raises(ConfigurationError):
-            resolve_star_lp_backend("definitely-not-registered")
-
-    def test_instance_passthrough(self):
-        backend = StackedStarLPBackend()
-        assert resolve_star_lp_backend(backend) is backend
-
-    def test_named_backends_are_shared_instances(self):
-        assert resolve_star_lp_backend("stacked") is resolve_star_lp_backend("stacked")
-
-    def test_env_var_selects_default(self, monkeypatch):
         monkeypatch.setenv(STAR_LP_BACKEND_ENV, "loop")
-        assert isinstance(resolve_star_lp_backend(None), LoopStarLPBackend)
-        monkeypatch.delenv(STAR_LP_BACKEND_ENV)
-        resolved = resolve_star_lp_backend(None)
-        assert resolved is resolve_star_lp_backend(DEFAULT_STAR_LP_BACKEND)
-
-    def test_register_and_unregister_custom_backend(self):
-        class Recording(StackedStarLPBackend):
-            name = "recording"
-
-        try:
-            register_star_lp_backend("recording", Recording)
-            assert isinstance(resolve_star_lp_backend("recording"), Recording)
-        finally:
-            unregister_star_lp_backend("recording")
-        with pytest.raises(ConfigurationError):
-            resolve_star_lp_backend("recording")
-
-    def test_register_rejects_bad_arguments(self):
-        with pytest.raises(ConfigurationError):
-            register_star_lp_backend("", StackedStarLPBackend)
-        with pytest.raises(ConfigurationError):
-            register_star_lp_backend("broken", "not-a-factory")
-
-    def test_factory_must_return_backend(self):
-        try:
-            register_star_lp_backend("bogus", lambda: object())
-            with pytest.raises(ConfigurationError):
-                resolve_star_lp_backend("bogus")
-        finally:
-            unregister_star_lp_backend("bogus")
+        with pytest.raises(ConfigurationError, match="valid backends are: sharded, stacked$"):
+            resolve_star_lp_backend(None)
+        assert not hasattr(repro.symbolic, "LoopStarLPBackend")
+        assert "LoopStarLPBackend" not in repro.symbolic.__all__
 
     def test_describe_reports_tier_structure(self):
         sharded = resolve_star_lp_backend("sharded")
@@ -234,7 +199,7 @@ class TestLPTier:
         lows, highs = backend.bounds(pinned)
         assert lows[0] == pinned.center[0] == highs[0]
         assert backend.stats["skipped_zero_columns"] >= 1
-        ref_lows, ref_highs = pinned._bounds_loop()
+        ref_lows, ref_highs = bounds_loop(pinned)
         np.testing.assert_allclose(lows, ref_lows, rtol=0.0, atol=LP_ATOL)
         np.testing.assert_allclose(highs, ref_highs, rtol=0.0, atol=LP_ATOL)
 
@@ -261,7 +226,7 @@ class TestBatchedWalkEquivalence:
             relu_network, inputs, 4, 0, delta, "star", star_lp_backend=config()
         )
         batched_box = BatchedBox(inputs - delta, inputs + delta)
-        ref_lows, ref_highs = _star_bounds_loop(relu_network, batched_box, 0, 4)
+        ref_lows, ref_highs = star_bounds_loop(relu_network, batched_box, 0, 4)
         np.testing.assert_allclose(
             lows, ref_lows, rtol=0.0, atol=LP_ATOL, err_msg=label
         )
@@ -283,7 +248,7 @@ class TestBatchedWalkEquivalence:
         to_layer = len(network.layers)
         inputs = rng.uniform(-1.5, 1.5, size=(batch, input_dim))
         batched_box = BatchedBox(inputs - delta, inputs + delta)
-        ref = _star_bounds_loop(network, batched_box, 0, to_layer)
+        ref = star_bounds_loop(network, batched_box, 0, to_layer)
         for name in ("stacked", "sharded"):
             lows, highs = perturbation_bounds_batch(
                 network, inputs, to_layer, 0, delta, "star", star_lp_backend=name
@@ -346,7 +311,7 @@ class TestRobustFitIdentity:
             monitor.fit(subset)
             return monitor
 
-        reference = fit_with("loop")
+        reference = fit_with(LoopStarLPBackend())
         candidate = fit_with(config())
         assert sorted(candidate.patterns.iterate_words()) == sorted(
             reference.patterns.iterate_words()
